@@ -12,10 +12,10 @@ repeated invocations never recompute anything.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -32,8 +32,9 @@ from .core import RunRecord
 from .evaluation import (
     FitnessSummary,
     ResultsCache,
-    _run_one,
     compare_fitness,
+    execute_runs,
+    run_map,
     summarize,
 )
 from .metaga import GARunTrace, TraceEntry, ga_run
@@ -82,8 +83,9 @@ class CachedEvaluator:
     """Fitness evaluator backed by the append-only results cache.
 
     Looks up the n seeded runs of a configuration; anything missing is
-    executed (optionally in a process pool) and appended to the cache
-    in seed order before the summary is built.
+    executed through ``map_fn`` (the builtin ``map``, or a process
+    pool's from :func:`run_map`) and appended to the cache in seed
+    order before the summary is built.
     """
 
     def __init__(
@@ -94,15 +96,15 @@ class CachedEvaluator:
         budget: int | None = None,
         base_seed: int = 0,
         target: float | None = None,
-        jobs: int = 1,
+        map_fn=map,
     ):
         self.problem = problem
         self.cache = cache
         self.n_runs = n_runs
-        self.budget = budget or benchmarks.default_budget(problem.dimension)
+        self.budget = budget
         self.base_seed = base_seed
         self.target = target
-        self.jobs = jobs
+        self.map_fn = map_fn
         self.runs_executed = 0
         key_fn = problem.function_id
         self._mem: dict[str, dict[int, RunRecord]] = {}
@@ -122,17 +124,10 @@ class CachedEvaluator:
         cfg_str = cfg if isinstance(cfg, str) else encode(cfg)
         missing = self.missing_seeds(cfg_str)
         if missing:
-            tasks = [
-                (cfg_str, self.problem, self.budget, s, self.target)
-                for s in missing
-            ]
-            if self.jobs > 1 and len(tasks) > 1:
-                with ProcessPoolExecutor(
-                    max_workers=min(self.jobs, len(tasks))
-                ) as pool:
-                    new = list(pool.map(_run_one, tasks))
-            else:
-                new = [_run_one(t) for t in tasks]
+            new = execute_runs(
+                cfg_str, self.problem, self.budget, missing, self.target,
+                self.map_fn,
+            )
             self.runs_executed += len(new)
             self.cache.append(new)
             slot = self._mem.setdefault(cfg_str, {})
@@ -140,6 +135,19 @@ class CachedEvaluator:
                 slot[rec.seed] = rec
         have = self._mem[cfg_str]
         return summarize([have[s] for s in self.seeds])
+
+
+@contextlib.contextmanager
+def _open_evaluator(args) -> Iterator[CachedEvaluator]:
+    """The command's evaluator, with one run pool of ``--jobs`` workers
+    (capped at ``--runs``) held open for the whole block."""
+    problem = benchmarks.make_problem(args.function, args.dim)
+    with run_map(min(args.jobs, args.runs)) as map_fn:
+        yield CachedEvaluator(
+            problem, ResultsCache(args.cache), n_runs=args.runs,
+            budget=args.budget, base_seed=args.seed, target=args.target,
+            map_fn=map_fn,
+        )
 
 
 def _summary_line(s: FitnessSummary) -> str:
@@ -159,17 +167,8 @@ def cmd_run(args, out=None) -> int:
     except ConfigError as exc:
         print(f"invalid configuration string: {exc}", file=sys.stderr)
         return 2
-    problem = benchmarks.make_problem(args.function, args.dim)
-    evaluator = CachedEvaluator(
-        problem,
-        ResultsCache(args.cache),
-        n_runs=args.runs,
-        budget=args.budget or benchmarks.default_budget(args.dim),
-        base_seed=args.seed,
-        target=args.target,
-        jobs=args.jobs,
-    )
-    summary = evaluator(cfg)
+    with _open_evaluator(args) as evaluator:
+        summary = evaluator(cfg)
     print(SUMMARY_HEADER, file=out)
     print(_summary_line(summary), file=out)
     return 0
@@ -178,26 +177,14 @@ def cmd_run(args, out=None) -> int:
 def cmd_bruteforce(args, out=None) -> int:
     out = out or sys.stdout
     frozen = _parse_free(args.free)
-    problem = benchmarks.make_problem(args.function, args.dim)
-    cache = ResultsCache(args.cache)
-    evaluator = CachedEvaluator(
-        problem,
-        cache,
-        n_runs=args.runs,
-        budget=args.budget or benchmarks.default_budget(args.dim),
-        base_seed=args.seed,
-        target=args.target,
-        jobs=args.jobs,
-    )
     executed = swept = 0
-    for cfg in enumerate_all(frozen=frozen):
-        cfg_str = encode(cfg)
-        swept += 1
-        missing = evaluator.missing_seeds(cfg_str)
-        if not missing:
-            continue
-        evaluator(cfg_str)
-        executed += 1
+    with _open_evaluator(args) as evaluator:
+        for cfg in enumerate_all(frozen=frozen):
+            cfg_str = encode(cfg)
+            swept += 1
+            if evaluator.missing_seeds(cfg_str):
+                evaluator(cfg_str)
+                executed += 1
     print(f"configs\t{swept}", file=out)
     print(f"executed\t{executed}", file=out)
     print(f"skipped\t{swept - executed}", file=out)
@@ -207,40 +194,34 @@ def cmd_bruteforce(args, out=None) -> int:
 def cmd_ga(args, out=None) -> int:
     out = out or sys.stdout
     frozen = _parse_free(args.free)
-    problem = benchmarks.make_problem(args.function, args.dim)
-    cache = ResultsCache(args.cache)
-    evaluator = CachedEvaluator(
-        problem,
-        cache,
-        n_runs=args.runs,
-        budget=args.budget or benchmarks.default_budget(args.dim),
-        base_seed=args.seed,
-        target=args.target,
-        jobs=args.jobs,
-    )
     os.makedirs(args.out, exist_ok=True)
     print(
         "run\tga_seed\tfunction_id\tdimension\tbest_config\tert\tfce",
         file=out,
     )
-    for i in range(args.ga_runs):
-        ga_seed = args.seed + i
-        trace = ga_run(
-            evaluator,
-            budget=args.ga_budget,
-            lambda_=args.ga_lambda,
-            seed=ga_seed,
-            frozen=frozen,
-        )
-        path = os.path.join(args.out, f"trace_{i:03d}.tsv")
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(trace.to_lines())
-        last = trace.entries[-1]
-        print(
-            f"{i}\t{ga_seed}\t{problem.function_id}\t{problem.dimension}\t"
-            f"{last.best_config}\t{_fmt(last.ert)}\t{_fmt(last.fce)}",
-            file=out,
-        )
+    with _open_evaluator(args) as evaluator:
+        problem = evaluator.problem
+        for i in range(args.ga_runs):
+            ga_seed = args.seed + i
+            trace = ga_run(
+                evaluator,
+                budget=args.ga_budget,
+                lambda_=args.ga_lambda,
+                seed=ga_seed,
+                frozen=frozen,
+            )
+            if trace.failures:
+                print(f"ga run {i}: {trace.failures} of {trace.evaluations} "
+                      "structure evaluations failed", file=sys.stderr)
+            path = os.path.join(args.out, f"trace_{i:03d}.tsv")
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(trace.to_lines())
+            last = trace.entries[-1]
+            print(
+                f"{i}\t{ga_seed}\t{problem.function_id}\t{problem.dimension}\t"
+                f"{last.best_config}\t{_fmt(last.ert)}\t{_fmt(last.fce)}",
+                file=out,
+            )
     return 0
 
 
@@ -475,8 +456,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bruteforce", help="sweep a configuration space")
     _add_common(p)
-    p.add_argument("--resume", action="store_true",
-                   help="explicitly continue an interrupted sweep")
     p.add_argument("--free", default=None,
                    help="comma list of free 1-based gene positions; "
                         "others frozen to 0")

@@ -279,12 +279,6 @@ class StrategyParams:
         self.diameter = float(np.linalg.norm(self.upper - self.lower))
         self.threshold = 0.2 * self.diameter
 
-        # Lazy eigendecomposition interval, in generations.
-        self.eig_interval = max(
-            1, int(1.0 / (10.0 * d * (self.c_1 + self.c_mu)))
-        )
-        self._gens_since_eig = 0
-
         self.sampler = Sampler(
             SamplerSpec(
                 base=cfg.base_sampler,
@@ -304,12 +298,8 @@ class StrategyParams:
         remaining = max(budget - used, 0) / budget
         self.threshold = 0.2 * self.diameter * remaining**0.995
 
-    def decompose(self, force: bool = False) -> None:
+    def decompose(self) -> None:
         """Refresh the eigendecomposition of C, repairing if needed."""
-        self._gens_since_eig += 1
-        if not force and self._gens_since_eig < self.eig_interval:
-            return
-        self._gens_since_eig = 0
         if not np.all(np.isfinite(self.C)):
             self.C = np.eye(self.dimension)
             self.p_c = np.zeros(self.dimension)

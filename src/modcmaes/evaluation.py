@@ -10,21 +10,27 @@ t-statistic on relative distances.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
+from typing import Iterator
 
 import numpy as np
 from scipy.special import betainc
 
-from .configuration import ConfigurationVector, encode
+from .benchmarks import default_budget
+from .configuration import ConfigurationVector
 from .core import RunRecord, run
 
 __all__ = [
     "RunRecord",
     "FitnessSummary",
     "ComparisonResult",
+    "run_map",
+    "execute_runs",
     "run_batch",
     "compute_ert",
     "summarize",
@@ -97,9 +103,32 @@ def summarize(runs: list[RunRecord]) -> FitnessSummary:
     )
 
 
-def _run_one(args) -> RunRecord:
-    cfg_str, problem, budget, seed, target = args
-    return run(cfg_str, problem, budget, seed, target=target)
+@contextlib.contextmanager
+def run_map(jobs: int) -> Iterator:
+    """Yield the ``map`` that runs go through: the builtin for ``jobs <= 1``,
+    else the ``map`` of one pool of ``jobs`` workers, open for the block."""
+    if jobs <= 1:
+        yield map
+        return
+    with ProcessPoolExecutor(max_workers=jobs) as pool:
+        yield pool.map
+
+
+def execute_runs(
+    cfg: ConfigurationVector | str,
+    problem,
+    budget: int | None,
+    seeds,
+    target: float | None = None,
+    map_fn=map,
+) -> list[RunRecord]:
+    """One seeded run per seed through ``map_fn``, in seed order.
+
+    ``budget`` defaults to :func:`benchmarks.default_budget`. A run
+    depends only on its arguments, so the map never changes a record.
+    """
+    budget = budget or default_budget(problem.dimension)
+    return list(map_fn(partial(run, cfg, problem, budget, target=target), seeds))
 
 
 def run_batch(
@@ -118,15 +147,9 @@ def run_batch(
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    if budget is None:
-        budget = 1000 * problem.dimension
-    cfg_str = cfg if isinstance(cfg, str) else encode(cfg)
-    tasks = [(cfg_str, problem, budget, seed + i, target) for i in range(n)]
-    if jobs > 1 and n > 1:
-        with ProcessPoolExecutor(max_workers=min(jobs, n)) as pool:
-            records = list(pool.map(_run_one, tasks))
-    else:
-        records = [_run_one(t) for t in tasks]
+    seeds = range(seed, seed + n)
+    with run_map(min(jobs, n)) as map_fn:
+        records = execute_runs(cfg, problem, budget, seeds, target, map_fn)
     return summarize(records)
 
 

@@ -59,6 +59,7 @@ class GARunTrace:
 
     entries: list[TraceEntry] = field(default_factory=list)
     evaluations: int = 0
+    failures: int = 0  # evaluations that raised; not in the trace file
 
     @property
     def best_config(self) -> str:
@@ -133,7 +134,7 @@ def ga_step(
             child.fitness = evaluator(child.r)
         except Exception:
             # A failed evaluation must not kill the search; the child
-            # simply can never win a comparison.
+            # simply can never win a comparison. n = 0 marks it failed.
             child.fitness = FitnessSummary(
                 config=encode(genome),
                 function_id="?",
@@ -176,6 +177,7 @@ def ga_run(
             parent, evaluator, rng, lambda_=lambda_, frozen=frozen
         )
         trace.evaluations += lambda_
+        trace.failures += sum(1 for c in offspring if c.fitness.n == 0)
         for child in offspring:
             if incumbent is None or _better(child.fitness, incumbent.fitness):
                 incumbent = child

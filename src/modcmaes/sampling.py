@@ -16,7 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import ndtri
-from scipy.stats import qmc
 
 __all__ = [
     "SamplerSpec",
@@ -98,6 +97,8 @@ def quasi_uniform(base: str, dimension: int, index: int) -> np.ndarray:
         raise CapabilityError(
             f"sobol direction numbers available up to dimension {_SOBOL_MAX_DIM}"
         )
+    from scipy.stats import qmc  # costly import; Sobol streams only
+
     engine = qmc.Sobol(d=dimension, scramble=False)
     if index > 0:
         engine.fast_forward(index)
@@ -157,6 +158,8 @@ class Sampler:
                     f"sobol direction numbers available up to dimension "
                     f"{_SOBOL_MAX_DIM}"
                 )
+            from scipy.stats import qmc  # costly import; Sobol streams only
+
             self._engine = qmc.Sobol(d=d, scramble=True, seed=spec.seed)
             self._engine.fast_forward(1)
         else:

@@ -1,7 +1,9 @@
 import os
+from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
+from modcmaes import evaluation
 from modcmaes.benchmarks import make_problem
 from modcmaes.cli import (
     CachedEvaluator,
@@ -125,13 +127,32 @@ class TestCmdBruteforce:
             evaluator(encode(cfg))
         code, out, _ = _run_cli(
             ["bruteforce", *BASE, "--runs", "2", "--seed", "0",
-             "--cache", cache, "--free", "1,2,3", "--resume"],
+             "--cache", cache, "--free", "1,2,3"],
             capsys,
         )
         stats = dict(l.split("\t") for l in out.strip().split("\n"))
         assert stats["configs"] == "8"
         assert stats["executed"] == "3"
         assert stats["skipped"] == "5"
+
+    def test_one_pool_per_sweep(self, tmp_path, capsys, monkeypatch):
+        built = []
+        init = ProcessPoolExecutor.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(kwargs.get("max_workers"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(ProcessPoolExecutor, "__init__", counting_init)
+        code, out, _ = _run_cli(
+            ["bruteforce", *BASE, "--runs", "2", "--seed", "0",
+             "--cache", str(tmp_path / "cache.tsv"), "--free", "1,2",
+             "--jobs", "2"],
+            capsys,
+        )
+        assert code == 0
+        assert "executed\t4" in out
+        assert built == [2]
 
 
 class TestCmdGa:
@@ -149,6 +170,39 @@ class TestCmdGa:
         assert files == ["trace_000.tsv", "trace_001.tsv"]
         lines = out.strip().split("\n")
         assert len(lines) == 3  # header + 2 runs
+
+    def test_failures_reported_on_stderr_only(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        argv = ["ga", *BASE, "--runs", "2", "--seed", "0", "--ga-runs", "2",
+                "--ga-budget", "24", "--ga-lambda", "12", "--free", "1,2,3"]
+        _, clean_out, clean_err = _run_cli(
+            argv + ["--cache", str(tmp_path / "a.tsv"),
+                    "--out", str(tmp_path / "a")],
+            capsys,
+        )
+        assert clean_err == ""
+        run = evaluation.run
+
+        def flaky_run(cfg_str, *args, **kwargs):
+            if cfg_str == "11100000000":
+                raise RuntimeError("engine down")
+            return run(cfg_str, *args, **kwargs)
+
+        monkeypatch.setattr(evaluation, "run", flaky_run)
+        code, out, err = _run_cli(
+            argv + ["--cache", str(tmp_path / "b.tsv"),
+                    "--out", str(tmp_path / "b")],
+            capsys,
+        )
+        assert code == 0
+        assert len(out.splitlines()) == len(clean_out.splitlines())
+        lines = err.strip().split("\n")
+        for line in lines:
+            assert line.startswith("ga run ")
+            assert line.endswith(" of 24 structure evaluations failed")
+        records = ResultsCache(str(tmp_path / "b.tsv")).records()
+        assert all(r.config != "11100000000" for r in records)
 
     def test_traces_only_reference_cached_configs(self, tmp_path, capsys):
         cache = str(tmp_path / "cache.tsv")

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from modcmaes import evaluation
 from modcmaes.benchmarks import make_problem
 from modcmaes.core import RunRecord
 from modcmaes.evaluation import (
@@ -11,7 +12,9 @@ from modcmaes.evaluation import (
     ResultsCache,
     compare,
     compute_ert,
+    execute_runs,
     run_batch,
+    run_map,
     subsample_uncertainty,
     summarize,
     welch_uncertainty,
@@ -220,6 +223,31 @@ class TestRunBatch:
         assert [r.best_error for r in serial.runs] == [
             r.best_error for r in parallel.runs
         ]
+
+
+class TestExecuteRuns:
+    def test_serial_map_is_builtin(self):
+        with run_map(1) as map_fn:
+            assert map_fn is map
+
+    def test_records_in_seed_order_through_pool(self):
+        p = make_problem("sphere", 2)
+        seeds = [5, 3, 4]
+        serial = execute_runs("00000000000", p, 300, seeds)
+        with run_map(2) as map_fn:
+            pooled = execute_runs("00000000000", p, 300, seeds, None, map_fn)
+        assert [r.seed for r in pooled] == seeds
+        assert pooled == serial
+
+    def test_budget_defaults_to_1000_d(self, monkeypatch):
+        budgets = []
+
+        def fake_run(cfg_str, problem, budget, seed, target=None):
+            budgets.append(budget)
+
+        monkeypatch.setattr(evaluation, "run", fake_run)
+        execute_runs("00000000000", make_problem("sphere", 5), None, [0, 1])
+        assert budgets == [5000, 5000]
 
 
 class TestSubsampleUncertainty:

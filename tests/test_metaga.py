@@ -163,6 +163,26 @@ class TestGaRun:
         assert len(trace.entries) == 1
         assert trace.evaluations == 12
 
+    def test_evaluator_failures_counted_in_trace(self):
+        calls = []
+
+        def evaluator(cfg):
+            calls.append(encode(cfg))
+            if len(calls) % 3 == 0:
+                raise RuntimeError("backend down")
+            return _summary_for(encode(cfg), fce=1.0)
+
+        trace = ga_run(evaluator, budget=24, lambda_=6, seed=0)
+        assert trace.evaluations == 24
+        assert trace.failures == 8
+        assert "inf" not in trace.to_lines()
+
+    def test_no_failures_counted_when_all_succeed(self):
+        trace = ga_run(
+            lambda cfg: _summary_for(encode(cfg)), budget=24, lambda_=6, seed=0
+        )
+        assert trace.failures == 0
+
     def test_budget_smaller_than_lambda_rejected(self):
         with pytest.raises(ValueError):
             ga_run(lambda cfg: None, budget=6, lambda_=12, seed=0)

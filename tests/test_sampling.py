@@ -1,9 +1,13 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from scipy.special import erf
 
+import modcmaes
 from modcmaes.sampling import (
     CapabilityError,
     Sampler,
@@ -184,3 +188,15 @@ def test_spec_validation():
         SamplerSpec(base="lattice", dimension=2)
     with pytest.raises(ValueError):
         SamplerSpec(base="gaussian", dimension=0)
+
+
+def test_package_import_leaves_scipy_stats_unloaded():
+    # scipy.stats is the costliest import; only Sobol streams need it.
+    src = os.path.dirname(os.path.dirname(modcmaes.__file__))
+    code = "import sys, modcmaes; print('scipy.stats' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True,
+        text=True, check=True,
+    )
+    assert out.stdout.strip() == "False"
