@@ -212,7 +212,8 @@ def cmd_ga(args, out=None) -> int:
             )
             if trace.failures:
                 print(f"ga run {i}: {trace.failures} of {trace.evaluations} "
-                      "structure evaluations failed", file=sys.stderr)
+                      "structure evaluations failed; first: "
+                      f"{trace.first_error}", file=sys.stderr)
             path = os.path.join(args.out, f"trace_{i:03d}.tsv")
             with open(path, "w", encoding="utf-8") as fh:
                 fh.write(trace.to_lines())
@@ -431,11 +432,20 @@ def cmd_suite(args, out=None) -> int:
     return 0
 
 
+def positive_int(text: str) -> int:
+    """argparse type for budgets: an integer of at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _add_common(p: argparse.ArgumentParser, cache_required: bool = True):
     p.add_argument("--function", required=True, choices=sorted(benchmarks.FUNCTIONS))
     p.add_argument("--dim", type=int, required=True, choices=benchmarks.DIMENSIONS)
     p.add_argument("--runs", type=int, default=32)
-    p.add_argument("--budget", type=int, default=None)
+    p.add_argument("--budget", type=positive_int, default=None,
+                   help="evaluations per run (default 1000*dim)")
     p.add_argument("--target", type=float, default=None)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--jobs", type=int, default=1)
@@ -464,7 +474,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ga", help="run the structure-search GA")
     _add_common(p)
     p.add_argument("--ga-runs", type=int, default=30)
-    p.add_argument("--ga-budget", type=int, default=240)
+    p.add_argument("--ga-budget", type=positive_int, default=240)
     p.add_argument("--ga-lambda", type=int, default=12)
     p.add_argument("--out", required=True, help="directory for trace files")
     p.add_argument("--free", default=None)

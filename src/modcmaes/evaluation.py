@@ -15,11 +15,10 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cache, partial
 from typing import Iterator
 
 import numpy as np
-from scipy.special import betainc
 
 from .benchmarks import default_budget
 from .configuration import ConfigurationVector
@@ -214,6 +213,15 @@ def compare(
     return ComparisonResult(winner=winner, basis=basis, d=d, uncertainty=uncertainty)
 
 
+@cache
+def _betainc():
+    """scipy's ``betainc``, imported on first use: ``scipy.special`` is a
+    costly import, and an import statement per comparison costs 1 µs."""
+    from scipy.special import betainc
+
+    return betainc
+
+
 def welch_uncertainty(d: float, s_rel: float, n: int) -> float:
     """P(A and B indistinguishable) for relative distance d at n runs.
 
@@ -235,7 +243,7 @@ def welch_uncertainty(d: float, s_rel: float, n: int) -> float:
     df = 2 * n - 2
     # Two-sided tail of the t-distribution via the regularized
     # incomplete beta: 2*(1 - cdf(t)) = I_{df/(df+t^2)}(df/2, 1/2).
-    return float(betainc(df / 2.0, 0.5, df / (df + t * t)))
+    return float(_betainc()(df / 2.0, 0.5, df / (df + t * t)))
 
 
 def subsample_uncertainty(

@@ -43,6 +43,7 @@ class GAIndividual:
     r: ConfigurationVector
     p_m: float
     fitness: FitnessSummary | None = None
+    error: str | None = None  # "Type: message" when evaluation raised
 
 
 @dataclass(frozen=True)
@@ -60,6 +61,7 @@ class GARunTrace:
     entries: list[TraceEntry] = field(default_factory=list)
     evaluations: int = 0
     failures: int = 0  # evaluations that raised; not in the trace file
+    first_error: str | None = None  # the first one's "Type: message"
 
     @property
     def best_config(self) -> str:
@@ -132,9 +134,10 @@ def ga_step(
         child = GAIndividual(r=genome, p_m=p_m)
         try:
             child.fitness = evaluator(child.r)
-        except Exception:
+        except Exception as exc:
             # A failed evaluation must not kill the search; the child
             # simply can never win a comparison. n = 0 marks it failed.
+            child.error = f"{type(exc).__name__}: {exc}"
             child.fitness = FitnessSummary(
                 config=encode(genome),
                 function_id="?",
@@ -178,6 +181,10 @@ def ga_run(
         )
         trace.evaluations += lambda_
         trace.failures += sum(1 for c in offspring if c.fitness.n == 0)
+        if trace.first_error is None:
+            trace.first_error = next(
+                (c.error for c in offspring if c.error), None
+            )
         for child in offspring:
             if incumbent is None or _better(child.fitness, incumbent.fitness):
                 incumbent = child

@@ -7,15 +7,25 @@ decorations can be stacked on top of any base: orthonormalization of
 each freshly drawn group (Gram-Schmidt, lengths restored to the raw
 norms) and mirroring (every second vector is the negation of the one
 before it).
+
+Both array paths return the same doubles, bit for bit, as their scalar
+definitions. Gram-Schmidt runs on a stack of groups as a wavefront:
+once row j of every group is normalized, it is projected out of all
+later rows of all groups in one call, with the same per-row BLAS dot
+products as a row-by-row loop. Halton coordinates run the digit loop
+of :func:`radical_inverse` elementwise over (count, D); the low digits
+of each index are read from a small per-base table of the loop's
+partial sums, memoized on the tuple of bases, and the loop adds only
+the high digits.
 """
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtri
 
 __all__ = [
     "SamplerSpec",
@@ -77,6 +87,65 @@ def radical_inverse(index: int, base: int) -> float:
     return inv
 
 
+# Residues per digit table: the low digits of a Halton index are read
+# from a table of at most this many entries per base.
+_TABLE_WIDTH = 4096
+
+
+def _digit_loop(index, bases, inv, denom):
+    """The loop of :func:`radical_inverse`, elementwise.
+
+    Digits are taken least significant first until every ``index`` is
+    exhausted; an entry that runs out early adds ``0.0``, which leaves
+    its sum unchanged, so each entry gets the scalar loop's value.
+    """
+    while index.any():
+        index, digit = np.divmod(index, bases)
+        denom = denom * bases
+        inv = inv + digit / denom
+    return inv, denom
+
+
+@functools.cache
+def _digit_tables(primes: tuple[int, ...]):
+    """Loop state after the low digits of every residue, per base.
+
+    For base b the table covers the low L digits, b**L <= _TABLE_WIDTH
+    (L = 0 for larger bases): entry r is the partial sum after L steps
+    of the digit loop on r, and ``denoms`` holds b**L as the loop
+    computes it. The tables of all bases are concatenated.
+    """
+    sums, widths, denoms = [], [], []
+    for b in primes:
+        width = 1
+        while width * b <= _TABLE_WIDTH:
+            width *= b
+        inv, denom = _digit_loop(np.arange(width), b, np.zeros(width), 1.0)
+        sums.append(inv)
+        widths.append(width)
+        denoms.append(denom)
+    widths = np.array(widths)
+    offsets = np.cumsum(widths) - widths
+    tables = (np.array(primes), widths, offsets, np.concatenate(sums),
+              np.array(denoms))
+    for a in tables:
+        a.setflags(write=False)
+    return tables
+
+
+def _halton(index: np.ndarray, primes: tuple[int, ...]) -> np.ndarray:
+    """Halton points ``index`` (1-D, non-negative), one row per index.
+
+    Equal, bit for bit, to :func:`radical_inverse` per coordinate: the
+    low digits come from the memoized tables, and the digit loop adds
+    the high ones.
+    """
+    bases, widths, offsets, sums, denoms = _digit_tables(primes)
+    high, low = np.divmod(index[:, None], widths)
+    inv, _ = _digit_loop(high, bases, sums[offsets + low], denoms)
+    return inv
+
+
 def quasi_uniform(base: str, dimension: int, index: int) -> np.ndarray:
     """Point ``index`` of the unscrambled low-discrepancy sequence.
 
@@ -91,8 +160,9 @@ def quasi_uniform(base: str, dimension: int, index: int) -> np.ndarray:
     if dimension < 1:
         raise ValueError("dimension must be >= 1")
     if base == "halton":
-        bases = first_primes(dimension)
-        return np.array([radical_inverse(index, b) for b in bases])
+        if index >= 2**63:
+            raise ValueError("halton index must be < 2**63")
+        return _halton(np.array([index]), tuple(first_primes(dimension)))[0]
     if dimension > _SOBOL_MAX_DIM:
         raise CapabilityError(
             f"sobol direction numbers available up to dimension {_SOBOL_MAX_DIM}"
@@ -109,33 +179,43 @@ def quasi_uniform(base: str, dimension: int, index: int) -> np.ndarray:
 
 def gaussian_transform(u: np.ndarray) -> np.ndarray:
     """Coordinate-wise inverse standard-normal CDF on (0,1)^D."""
+    from scipy.special import ndtri  # costly import; Sobol and Halton only
+
     u = np.asarray(u, dtype=float)
     if np.any(u <= 0.0) or np.any(u >= 1.0):
         raise ValueError("coordinates must lie strictly inside (0, 1)")
     return ndtri(u)
 
 
-def _orthonormalize(group: np.ndarray) -> np.ndarray:
-    """Modified Gram-Schmidt with re-orthogonalization.
+def _orthonormalize(groups: np.ndarray) -> np.ndarray:
+    """Modified Gram-Schmidt with re-orthogonalization, on a stack of groups.
 
-    Rows of ``group`` are replaced by mutually orthogonal vectors, each
-    rescaled back to the Euclidean norm of the corresponding raw row so
-    that length statistics match the plain base sampler.
+    ``groups`` has shape (k, n, D). The rows of each group are replaced
+    by mutually orthogonal vectors, each rescaled back to the Euclidean
+    norm of the corresponding raw row so that length statistics match
+    the plain base sampler. Row j of every group is normalized, then
+    projected out of all later rows of every group at once; each row
+    sees the same floating-point operations, in the same order, as in a
+    row-by-row loop over one group.
     """
-    q = group.astype(float, copy=True)
-    norms = np.linalg.norm(group, axis=1)
-    n = len(q)
+    q = groups.astype(float, copy=True)
+    norms = np.linalg.norm(groups, axis=-1)
+    n = q.shape[1]
     for _ in range(2):  # twice is enough for ~1e-16 off-diagonals
-        for i in range(n):
-            for j in range(i):
-                q[i] -= (q[i] @ q[j]) * q[j]
-            ni = np.linalg.norm(q[i])
-            if ni == 0.0:
+        for j in range(n):
+            qj = q[:, j]
+            # sqrt of the per-row BLAS dot, as 1-D np.linalg.norm computes it
+            nj = np.sqrt(np.matmul(qj[:, None, :], qj[:, :, None])[:, 0, 0])
+            if not nj.all():
                 # Degenerate draw; keep the raw direction untouched.
-                q[i] = group[i]
-                ni = norms[i] if norms[i] > 0 else 1.0
-            q[i] /= ni
-    return q * norms[:, None]
+                zero = nj == 0.0
+                qj[zero] = groups[zero, j]
+                nj[zero] = np.where(norms[zero, j] > 0, norms[zero, j], 1.0)
+            qj /= nj[:, None]
+            rest = q[:, j + 1:]
+            coef = np.matmul(rest[..., None, :], qj[:, None, :, None])
+            rest -= coef[..., 0] * qj[:, None, :]
+    return q * norms[..., None]
 
 
 class Sampler:
@@ -163,7 +243,7 @@ class Sampler:
             self._engine = qmc.Sobol(d=d, scramble=True, seed=spec.seed)
             self._engine.fast_forward(1)
         else:
-            self._primes = first_primes(d)
+            self._primes = tuple(first_primes(d))
             offset_rng = np.random.default_rng(spec.seed)
             # Random start offset so independent runs decorrelate.
             self._index = 1 + int(offset_rng.integers(1 << 16))
@@ -180,9 +260,7 @@ class Sampler:
             tiny = np.finfo(float).tiny
             u = np.clip(u, tiny, 1.0 - np.finfo(float).epsneg)
             return gaussian_transform(u)
-        u = np.empty((count, spec.dimension))
-        for k in range(count):
-            u[k] = [radical_inverse(self._index + k, b) for b in self._primes]
+        u = _halton(self._index + np.arange(count), self._primes)
         self._index += count
         return gaussian_transform(u)
 
@@ -195,12 +273,13 @@ class Sampler:
         fresh = self._raw(fresh_n)
         if spec.orthogonal:
             block = min(fresh_n, spec.dimension)
-            out = fresh.copy()
-            for start in range(0, fresh_n, block):
-                stop = min(start + block, fresh_n)
-                if stop - start > 1:
-                    out[start:stop] = _orthonormalize(fresh[start:stop])
-            fresh = out
+            full = fresh_n - fresh_n % block
+            if block > 1:
+                fresh[:full] = _orthonormalize(
+                    fresh[:full].reshape(-1, block, spec.dimension)
+                ).reshape(full, spec.dimension)
+            if fresh_n - full > 1:
+                fresh[full:] = _orthonormalize(fresh[None, full:])[0]
         if not spec.mirrored:
             return fresh
         batch = np.empty((2 * fresh_n, spec.dimension))

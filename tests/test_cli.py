@@ -27,6 +27,21 @@ def _run_cli(argv, capsys):
 BASE = ["--function", "sphere", "--dim", "2", "--budget", "400"]
 
 
+@pytest.mark.parametrize("argv", [
+    ["run", "--config", "00000000000", "--budget", "0"],
+    ["bruteforce", "--budget", "-3"],
+    ["ga", "--budget", "400", "--ga-budget", "0", "--out", "traces"],
+])
+def test_budget_below_one_rejected(argv, tmp_path, capsys):
+    cache = str(tmp_path / "cache.tsv")
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--function", "sphere", "--dim", "2",
+              "--cache", cache])
+    assert exc.value.code == 2
+    assert "must be >= 1" in capsys.readouterr().err
+    assert not os.path.exists(cache)
+
+
 class TestCmdRun:
     def test_appends_one_line_per_run(self, tmp_path, capsys):
         cache = str(tmp_path / "cache.tsv")
@@ -200,7 +215,8 @@ class TestCmdGa:
         lines = err.strip().split("\n")
         for line in lines:
             assert line.startswith("ga run ")
-            assert line.endswith(" of 24 structure evaluations failed")
+            assert line.endswith(" of 24 structure evaluations failed; "
+                                 "first: RuntimeError: engine down")
         records = ResultsCache(str(tmp_path / "b.tsv")).records()
         assert all(r.config != "11100000000" for r in records)
 

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+from modcmaes import core
+from modcmaes.benchmarks import make_problem
 from modcmaes.configuration import ConfigurationVector, encode, enumerate_all
-from modcmaes.evaluation import FitnessSummary, compare
+from modcmaes.evaluation import FitnessSummary, compare, summarize
 from modcmaes.metaga import (
     P_INIT,
     P_MAX,
@@ -182,6 +184,29 @@ class TestGaRun:
             lambda cfg: _summary_for(encode(cfg)), budget=24, lambda_=6, seed=0
         )
         assert trace.failures == 0
+
+    def test_first_failure_reason_kept_on_trace(self, monkeypatch):
+        problem = make_problem("sphere", 2)
+        frozen = {i: 0 for i in range(3, 11)}
+
+        def evaluator(cfg):
+            runs = [core.run(encode(cfg), problem, 100, seed=s) for s in (1, 2)]
+            return summarize(runs)
+
+        clean = ga_run(evaluator, budget=24, lambda_=12, seed=0, frozen=frozen)
+        assert clean.failures == 0 and clean.first_error is None
+        run = core.run
+
+        def broken_run(cfg_str, *args, **kwargs):
+            if cfg_str == "11100000000":
+                raise RuntimeError("engine down")
+            return run(cfg_str, *args, **kwargs)
+
+        monkeypatch.setattr(core, "run", broken_run)
+        trace = ga_run(evaluator, budget=24, lambda_=12, seed=0, frozen=frozen)
+        assert trace.failures > 0
+        assert trace.first_error == "RuntimeError: engine down"
+        assert "engine down" not in trace.to_lines()
 
     def test_budget_smaller_than_lambda_rejected(self):
         with pytest.raises(ValueError):

@@ -1,3 +1,4 @@
+import itertools
 import math
 import os
 import subprocess
@@ -192,11 +193,108 @@ def test_spec_validation():
 
 def test_package_import_leaves_scipy_stats_unloaded():
     # scipy.stats is the costliest import; only Sobol streams need it.
+    # scipy.special is next; only quasi-random streams and comparisons do.
     src = os.path.dirname(os.path.dirname(modcmaes.__file__))
-    code = "import sys, modcmaes; print('scipy.stats' in sys.modules)"
+    code = (
+        "import sys, modcmaes; "
+        "print('scipy.stats' in sys.modules, 'scipy.special' in sys.modules)"
+    )
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True,
         text=True, check=True,
     )
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "False False"
+
+
+def _gram_schmidt_rowwise(group):
+    """Reference: modified Gram-Schmidt over one group, row by row."""
+    q = group.astype(float, copy=True)
+    norms = np.linalg.norm(group, axis=1)
+    for _ in range(2):
+        for i in range(len(q)):
+            for j in range(i):
+                q[i] -= (q[i] @ q[j]) * q[j]
+            ni = np.linalg.norm(q[i])
+            if ni == 0.0:
+                q[i] = group[i]
+                ni = norms[i] if norms[i] > 0 else 1.0
+            q[i] /= ni
+    return q * norms[:, None]
+
+
+def _halton_pointwise(start, count, dimension):
+    """Reference: one radical_inverse call per Halton coordinate."""
+    primes = first_primes(dimension)
+    return np.array(
+        [[radical_inverse(start + k, b) for b in primes] for k in range(count)]
+    )
+
+
+def _reference_batch(spec, fresh):
+    """Reference decoration of the fresh draws of one next_batch call."""
+    fresh_n, d = fresh.shape
+    if spec.orthogonal:
+        block = min(fresh_n, d)
+        fresh = fresh.copy()
+        for start in range(0, fresh_n, block):
+            stop = min(start + block, fresh_n)
+            if stop - start > 1:
+                fresh[start:stop] = _gram_schmidt_rowwise(fresh[start:stop])
+    if not spec.mirrored:
+        return fresh
+    batch = np.empty((2 * fresh_n, d))
+    batch[0::2] = fresh
+    batch[1::2] = -fresh
+    return batch
+
+
+@pytest.mark.parametrize("base", ["gaussian", "sobol", "halton"])
+def test_next_batch_bit_identical_to_rowwise_reference(base):
+    for mirrored, orthogonal, d in itertools.product(
+        (False, True), (False, True), (2, 3, 5, 10, 20)
+    ):
+        spec = SamplerSpec(base=base, mirrored=mirrored,
+                           orthogonal=orthogonal, dimension=d, seed=d)
+        for count in sorted({1, d - 1, d, d + 1, 3 * d + 2, 400}):
+            fresh_n = (count + 1) // 2 if mirrored else count
+            if base == "halton":
+                start = 1 + int(np.random.default_rng(d).integers(1 << 16))
+                raw = gaussian_transform(_halton_pointwise(start, fresh_n, d))
+            else:
+                raw = Sampler(spec)._raw(fresh_n)
+            want = _reference_batch(spec, raw)[:count]
+            got = Sampler(spec).next_batch(count)
+            assert np.array_equal(got, want), (spec, count)
+
+
+def test_orthogonal_degenerate_group_bit_identical():
+    # Group one is rank deficient: row 1 is a multiple of row 0 and
+    # row 2 is zero, so both take the degenerate branch; group two is
+    # a regular draw stacked with it.
+    raw = np.vstack([
+        [[1.0, 0.0, 0.0], [2.0, 0.0, 0.0], [0.0, 0.0, 0.0]],
+        np.random.default_rng(2).standard_normal((4, 3)),
+    ])
+    spec = SamplerSpec(base="gaussian", orthogonal=True, dimension=3, seed=0)
+    sampler = Sampler(spec)
+    sampler._raw = lambda count: raw[:count].copy()
+    got = sampler.next_batch(7)
+    assert np.array_equal(got, _reference_batch(spec, raw))
+    assert np.array_equal(got[:3], [[1.0, 0, 0], [2.0, 0, 0], [0, 0, 0]])
+
+
+def test_halton_bit_identical_past_table_width():
+    # Small indices live in the digit tables; large ones need the loop.
+    for d in (1, 2, 5, 20):
+        for index in (0, 1, 2, 4095, 4096, 4097, 65537, 2**20 + 3,
+                      10**15 + 7, 2**63 - 1):
+            want = [radical_inverse(index, b) for b in first_primes(d)]
+            assert np.array_equal(quasi_uniform("halton", d, index), want)
+    with pytest.raises(ValueError):
+        quasi_uniform("halton", 2, 2**63)
+    s = Sampler(SamplerSpec(base="halton", dimension=3, seed=1))
+    s._index = 10**12
+    got = s.next_batch(50)
+    want = gaussian_transform(_halton_pointwise(10**12, 50, 3))
+    assert np.array_equal(got, want)
