@@ -59,29 +59,27 @@ def _ellipsoid(z: np.ndarray, aux: dict) -> float:
 
 
 def _rastrigin(z: np.ndarray, aux: dict) -> float:
-    return float(10.0 * (len(z) - np.sum(np.cos(2.0 * np.pi * z))) + z @ z)
+    return float(10.0 * (len(z) - np.cos(2.0 * np.pi * z).sum()) + z @ z)
 
 
 def _attractive_sector(z: np.ndarray, aux: dict) -> float:
     s = np.where(z > 0.0, 100.0, 1.0)
-    return float(np.sum((s * z) ** 2))
+    return float(((s * z) ** 2).sum())
 
 
 def _rosenbrock(z: np.ndarray, aux: dict) -> float:
     w = z + 1.0
-    return float(
-        np.sum(100.0 * (w[:-1] ** 2 - w[1:]) ** 2 + (w[:-1] - 1.0) ** 2)
-    )
+    return float((100.0 * (w[:-1] ** 2 - w[1:]) ** 2 + (w[:-1] - 1.0) ** 2).sum())
 
 
 def _discus(z: np.ndarray, aux: dict) -> float:
-    return float(1e6 * z[0] ** 2 + np.sum(z[1:] ** 2))
+    return float(1e6 * z[0] ** 2 + (z[1:] ** 2).sum())
 
 
 def _schaffers(z: np.ndarray, aux: dict) -> float:
     s = np.sqrt(z[:-1] ** 2 + z[1:] ** 2)
     inner = np.sqrt(s) * (1.0 + np.sin(50.0 * s**0.2) ** 2)
-    return float((np.sum(inner) / (len(z) - 1)) ** 2)
+    return float((inner.sum() / (len(z) - 1)) ** 2)
 
 
 def _gallagher(z: np.ndarray, aux: dict) -> float:
@@ -89,8 +87,8 @@ def _gallagher(z: np.ndarray, aux: dict) -> float:
     heights = aux["heights"]  # row 0 has height 10.0
     scales = aux["scales"]  # (n_peaks, D) diagonal quadratic forms
     diff = z[None, :] - centers
-    expo = np.sum(scales * diff * diff, axis=1) / (2.0 * len(z))
-    best = np.max(heights * np.exp(-expo))
+    expo = (scales * diff * diff).sum(axis=1) / (2.0 * len(z))
+    best = (heights * np.exp(-expo)).max()
     return float((10.0 - best) ** 2)
 
 

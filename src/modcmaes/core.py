@@ -6,6 +6,14 @@ mutation, evaluation (with optional sequential early stopping),
 selection, recombination, and strategy-parameter adaptation. All eleven
 switchable mechanisms are driven by a
 :class:`~modcmaes.configuration.ConfigurationVector`.
+
+A generation is carried as arrays, one row per offspring: ``Z`` holds
+the raw samples (lambda_eff, D) from the sampler, ``Y`` the scaled
+steps (row i is ``B @ (d_sqrt * Z[i])``), ``X = mean + sigma * Y`` the
+candidate solutions and the float array ``f`` the objective values of
+the evaluated prefix of ``X`` (sequential selection may stop early).
+The selected parents are an ``(f, Y, X)`` triple of mu rows ranked
+best-first; elitism carries that triple into the next selection.
 """
 
 from __future__ import annotations
@@ -19,7 +27,6 @@ from .configuration import ConfigurationVector, decode, encode
 from .sampling import Sampler, SamplerSpec
 
 __all__ = [
-    "Individual",
     "StrategyParams",
     "RestartState",
     "RestartCriteria",
@@ -53,12 +60,8 @@ class ZeroMutationError(ValueError):
     """A zero-length sample cannot be pushed out to the threshold."""
 
 
-class _BudgetExhausted(Exception):
-    pass
-
-
-class _TargetReached(Exception):
-    pass
+class _RunOver(Exception):
+    """The budget is spent or the target is reached."""
 
 
 def default_lambda(dimension: int) -> int:
@@ -107,7 +110,7 @@ def apply_threshold(z: np.ndarray, threshold: float) -> np.ndarray:
         raise ValueError("threshold must be >= 0")
     if threshold == 0.0:
         return z
-    norm = float(np.linalg.norm(z))
+    norm = math.sqrt(z @ z)
     if norm >= threshold:
         return z
     if norm == 0.0:
@@ -115,64 +118,58 @@ def apply_threshold(z: np.ndarray, threshold: float) -> np.ndarray:
     return z * ((2.0 * threshold - norm) / norm)
 
 
-@dataclass
-class Individual:
-    """One candidate: raw sample z, scaled step y, solution x, value f."""
-
-    z: np.ndarray
-    y: np.ndarray
-    x: np.ndarray
-    f: float | None = None
-
-
 def evaluate_offspring(
-    pop: list[Individual],
+    X: np.ndarray,
     objective,
     seq_active: bool,
     seq_cutoff: int,
     f_best: float = math.inf,
-) -> list[Individual]:
-    """Evaluate offspring in order, optionally stopping early.
+) -> np.ndarray:
+    """Evaluate the rows of ``X`` in order, optionally stopping early.
 
     With sequential selection active, evaluation stops as soon as at
-    least ``seq_cutoff`` individuals are evaluated and one of them
-    improved on ``f_best``. Returns the evaluated prefix.
+    least ``seq_cutoff`` rows are evaluated and one of them improved on
+    ``f_best``. Returns the values of the evaluated prefix.
     """
-    evaluated: list[Individual] = []
+    f = []
     improved = False
-    for ind in pop:
-        f = float(objective(ind.x))
-        ind.f = f
-        evaluated.append(ind)
-        if f < f_best:
-            f_best = f
+    for x in X:
+        fx = float(objective(x))
+        f.append(fx)
+        if fx < f_best:
+            f_best = fx
             improved = True
-        if seq_active and len(evaluated) >= seq_cutoff and improved:
+        if seq_active and improved and len(f) >= seq_cutoff:
             break
-    return evaluated
+    return np.array(f)
 
 
 def select(
-    pop: list[Individual],
-    parents: list[Individual],
+    f: np.ndarray,
+    Y: np.ndarray,
+    X: np.ndarray,
+    parents: tuple[np.ndarray, np.ndarray, np.ndarray] | None,
     mu: int,
     cfg: ConfigurationVector,
-) -> list[Individual]:
-    """Pick the mu parents of the next generation, ranked best-first."""
-    candidates = pop
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Pick the mu parents ``(f, Y, X)`` of the next generation, best first.
+
+    Pairwise selection keeps the better of rows 2i and 2i+1, elitism adds
+    the previous ``parents``; ties keep the earlier candidate.
+    """
     if cfg.pairwise:
-        winners = []
-        for i in range(0, len(pop), 2):
-            pair = pop[i : i + 2]
-            winners.append(min(pair, key=lambda ind: ind.f))
-        candidates = winners
-    if cfg.elitist and parents:
-        candidates = candidates + list(parents)
-    if len(candidates) < mu:
+        a = np.arange(0, len(f), 2)
+        b = np.minimum(a + 1, len(f) - 1)
+        win = np.where(f[b] < f[a], b, a)
+        f, Y, X = f[win], Y[win], X[win]
+    if cfg.elitist and parents is not None:
+        f, Y, X = (np.concatenate(pair) for pair in zip((f, Y, X), parents))
+    if len(f) < mu:
         raise SelectionShortfallError(
-            f"need {mu} parents but only {len(candidates)} candidates"
+            f"need {mu} parents but only {len(f)} candidates"
         )
-    return sorted(candidates, key=lambda ind: ind.f)[:mu]
+    best = np.argsort(f, kind="stable")[:mu]
+    return f[best], Y[best], X[best]
 
 
 def recombination_weights(mu: int, option: str) -> np.ndarray:
@@ -185,11 +182,14 @@ def recombination_weights(mu: int, option: str) -> np.ndarray:
     raise ValueError(f"unknown weights option {option!r}")
 
 
-def recombine(parents: list[Individual], cfg: ConfigurationVector) -> np.ndarray:
-    """Weighted average of the parents' solution vectors."""
-    w = recombination_weights(len(parents), cfg.weights_option)
-    xs = np.array([p.x for p in parents])
-    return w @ xs
+def recombine(X: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Weighted average of the rows of ``X`` (parents ranked best-first)."""
+    return weights @ X
+
+
+def _symmetrize(C: np.ndarray, triu_mask: np.ndarray) -> np.ndarray:
+    """Mirror the upper triangle into the lower; + 0.0 turns -0.0 into +0.0."""
+    return np.where(triu_mask, C, C.T) + 0.0
 
 
 @dataclass
@@ -273,7 +273,8 @@ class StrategyParams:
         self.tpa_state = 0.0
         self.t = 0
         self.repair_count = 0
-        self.parents: list[Individual] = []
+        self.parents: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+        self.triu_mask = np.triu(np.ones((d, d), dtype=bool))
 
         self.criteria = criteria or RestartCriteria()
         self.diameter = float(np.linalg.norm(self.upper - self.lower))
@@ -300,13 +301,11 @@ class StrategyParams:
 
     def decompose(self) -> None:
         """Refresh the eigendecomposition of C, repairing if needed."""
-        if not np.all(np.isfinite(self.C)):
+        if not np.isfinite(self.C).all():
             self.C = np.eye(self.dimension)
             self.p_c = np.zeros(self.dimension)
             self.repair_count += 1
-        if not (1e-32 < self.sigma < 1e32) or not np.all(
-            np.isfinite(self.mean)
-        ):
+        if not (1e-32 < self.sigma < 1e32) or not np.isfinite(self.mean).all():
             self.sigma = self.sigma0
             self.C = np.eye(self.dimension)
             self.p_c = np.zeros(self.dimension)
@@ -317,8 +316,7 @@ class StrategyParams:
         if vals[0] <= 0.0:
             floor = max(vals[-1] * 1e-14, 1e-30)
             vals = np.maximum(vals, floor)
-            self.C = (vecs * vals) @ vecs.T
-            self.C = np.triu(self.C) + np.triu(self.C, 1).T
+            self.C = _symmetrize((vecs * vals) @ vecs.T, self.triu_mask)
             self.repair_count += 1
         self.eig_vals = vals
         self.d_sqrt = np.sqrt(vals)
@@ -328,8 +326,9 @@ class StrategyParams:
 
 def adapt(
     params: StrategyParams,
-    selected: list[Individual],
-    all_evaluated: list[Individual],
+    selected_y: np.ndarray,
+    evaluated_y: np.ndarray,
+    evaluated_f: np.ndarray,
     cfg: ConfigurationVector,
     tpa_sign: int = 0,
     old_mean: np.ndarray | None = None,
@@ -338,11 +337,11 @@ def adapt(
 
     Updates the evolution paths, the step size (cumulative adaptation
     or the two-point probe signal), and the covariance matrix (rank-one
-    plus rank-mu, optionally with the negative update built from the
-    worst offspring of the generation).
+    plus rank-mu over the rows of ``selected_y``, ranked best-first,
+    optionally with the negative update built from the rows of
+    ``evaluated_y`` with the worst ``evaluated_f``).
     """
     p = params
-    d = p.dimension
     if old_mean is None:
         old_mean = p.mean
     dm = (p.mean - old_mean) / p.sigma
@@ -355,24 +354,23 @@ def adapt(
             p.c_sigma * (2.0 - p.c_sigma) * p.mu_eff
         ) * (p.inv_root_C @ dm)
         arg = (p.c_sigma / p.d_sigma) * (
-            np.linalg.norm(p.p_sigma) / p.chi_n - 1.0
+            math.sqrt(p.p_sigma @ p.p_sigma) / p.chi_n - 1.0
         )
         # A single-generation factor beyond e^20 only occurs in runs
         # already degenerate; clip instead of overflowing.
         p.sigma *= math.exp(min(max(arg, -20.0), 20.0))
 
     h_sig = float(
-        np.linalg.norm(p.p_sigma)
+        math.sqrt(p.p_sigma @ p.p_sigma)
         / math.sqrt(1.0 - (1.0 - p.c_sigma) ** (2.0 * (p.t + 1)))
-        < (1.4 + 2.0 / (d + 1.0)) * p.chi_n
+        < (1.4 + 2.0 / (p.dimension + 1.0)) * p.chi_n
     )
     p.p_c = (1.0 - p.c_c) * p.p_c + h_sig * math.sqrt(
         p.c_c * (2.0 - p.c_c) * p.mu_eff
     ) * dm
 
-    ys = np.array([ind.y for ind in selected])
-    w = p.weights[: len(selected)]
-    rank_mu = (w[:, None] * ys).T @ ys
+    w = p.weights[: len(selected_y)]
+    rank_mu = (w[:, None] * selected_y).T @ selected_y
     dhs = (1.0 - h_sig) * p.c_c * (2.0 - p.c_c)
     p.C = (
         (1.0 - p.c_1 - p.c_mu + p.c_1 * dhs) * p.C
@@ -380,14 +378,12 @@ def adapt(
         + p.c_mu * rank_mu
     )
 
-    if cfg.active and all_evaluated:
-        worst = sorted(all_evaluated, key=lambda ind: ind.f, reverse=True)
-        worst = worst[: p.mu]
-        yw = np.array([ind.y for ind in worst])
-        ww = p.weights[: len(worst)]
+    if cfg.active and len(evaluated_f):
+        yw = evaluated_y[np.argsort(-evaluated_f, kind="stable")[: p.mu]]
+        ww = p.weights[: len(yw)]
         p.C -= p.beta_active * ((ww[:, None] * yw).T @ yw)
 
-    p.C = np.triu(p.C) + np.triu(p.C, 1).T
+    p.C = _symmetrize(p.C, p.triu_mask)
     p.t += 1
     p.decompose()
     return p
@@ -473,7 +469,7 @@ class _Accountant:
 
     def __call__(self, x: np.ndarray) -> float:
         if self.used >= self.budget:
-            raise _BudgetExhausted
+            raise _RunOver
         self.used += 1
         err = self.problem.error(x)
         if not math.isfinite(err):
@@ -484,7 +480,7 @@ class _Accountant:
             self.trajectory.append(self.best_error)
         if self.best_error <= self.target and self.hit_index is None:
             self.hit_index = self.used
-            raise _TargetReached
+            raise _RunOver
         return err
 
 
@@ -506,27 +502,25 @@ def _local_stop(params: StrategyParams, gen_best: float) -> str | None:
         return "tol_sigma"
     axis = p.t % p.dimension
     probe = 0.1 * p.sigma * p.d_sqrt[axis] * p.B[:, axis]
-    if np.all(p.mean + probe == p.mean):
+    if (p.mean + probe == p.mean).all():
         return "no_effect_axis"
-    coord = 0.2 * p.sigma * np.sqrt(np.diag(p.C))
-    if np.any(p.mean + coord == p.mean):
+    coord = 0.2 * p.sigma * np.sqrt(p.C.diagonal())
+    if (p.mean + coord == p.mean).any():
         return "no_effect_coord"
     return None
 
 
-def _mutation_vectors(params: StrategyParams, cfg, use_threshold: bool):
-    zs = params.sampler.next_batch(params.lambda_eff)
-    out = []
-    for z in zs:
-        if use_threshold:
-            for _ in range(16):
+def _mutation_vectors(params: StrategyParams, use_threshold: bool) -> np.ndarray:
+    Z = params.sampler.next_batch(params.lambda_eff)
+    if use_threshold:
+        for i in range(len(Z)):
+            for _ in range(16):  # a zero row is redrawn, in row order
                 try:
-                    z = apply_threshold(z, params.threshold)
+                    Z[i] = apply_threshold(Z[i], params.threshold)
                     break
                 except ZeroMutationError:
-                    z = params.sampler.next_batch(1)[0]
-        out.append(z)
-    return out
+                    Z[i] = params.sampler.next_batch(1)[0]
+    return Z
 
 
 def _run_local(
@@ -540,21 +534,21 @@ def _run_local(
     while True:
         if cfg.threshold:
             params.update_threshold(acct.used, budget)
-        zs = _mutation_vectors(params, cfg, cfg.threshold)
-        offspring = []
-        for z in zs:
-            y = params.B @ (params.d_sqrt * z)
-            x = params.mean + params.sigma * y
-            offspring.append(Individual(z=z, y=y, x=x))
+        Z = _mutation_vectors(params, cfg.threshold)
+        # A stacked matrix-vector product: the same bits as B @ (d * z)
+        # row by row, which (Z * d) @ B.T is not.
+        Y = np.matmul(params.B, (Z * params.d_sqrt)[:, :, None])[:, :, 0]
+        X = params.mean + params.sigma * Y
 
-        evaluated = evaluate_offspring(
-            offspring, acct, cfg.sequential, params.seq_cutoff, acct.best_error
+        f = evaluate_offspring(
+            X, acct, cfg.sequential, params.seq_cutoff, acct.best_error
         )
-        parents = select(evaluated, params.parents, params.mu, cfg)
-        params.parents = parents
+        Y = Y[: len(f)]
+        params.parents = select(f, Y, X[: len(f)], params.parents, params.mu, cfg)
+        f_par, y_par, x_par = params.parents
 
         old_mean = params.mean
-        new_mean = recombine(parents, cfg)
+        new_mean = recombine(x_par, params.weights)
 
         tpa_sign = 0
         if cfg.tpa:
@@ -568,12 +562,12 @@ def _run_local(
                 tpa_sign = -1
 
         params.mean = new_mean
-        adapt(params, parents, evaluated, cfg, tpa_sign, old_mean=old_mean)
+        adapt(params, y_par, Y, f, cfg, tpa_sign, old_mean=old_mean)
 
         if generation_best is not None:
-            generation_best.append(min(par.f for par in parents))
+            generation_best.append(float(f_par[0]))
 
-        reason = _local_stop(params, min(ind.f for ind in evaluated))
+        reason = _local_stop(params, float(f.min()))
         if reason is not None:
             params.stop_reason = reason
             return
@@ -637,7 +631,7 @@ def run(
             restart.note_finished(acct.used - consumed_before)
             if cfg.restart_regime == "none":
                 break
-    except (_BudgetExhausted, _TargetReached):
+    except _RunOver:
         pass
 
     return RunRecord(

@@ -123,10 +123,11 @@ def execute_runs(
 ) -> list[RunRecord]:
     """One seeded run per seed through ``map_fn``, in seed order.
 
-    ``budget`` defaults to :func:`benchmarks.default_budget`. A run
+    ``budget=None`` means :func:`benchmarks.default_budget`. A run
     depends only on its arguments, so the map never changes a record.
     """
-    budget = budget or default_budget(problem.dimension)
+    if budget is None:
+        budget = default_budget(problem.dimension)
     return list(map_fn(partial(run, cfg, problem, budget, target=target), seeds))
 
 
@@ -317,13 +318,28 @@ def subsample_uncertainty(
     }
 
 
+def _last_line_end(fh, end: int) -> int:
+    """Offset just past the last newline before ``end`` (0 if none): the
+    end of the last complete line of a binary file."""
+    while end > 0:
+        start = max(end - 4096, 0)
+        fh.seek(start)
+        nl = fh.read(end - start).rfind(b"\n")
+        if nl >= 0:
+            return start + nl + 1
+        end = start
+    return 0
+
+
 class ResultsCache:
     """Append-only tab-separated store of individual run results.
 
     One line per run: config, function_id, dimension, seed,
     evaluations_used, best_error, hit_index (``NA`` when the target was
-    never reached). Lines are atomic, so readers tolerate a cache that
-    is still being written; there must be only one writer at a time.
+    never reached). A line counts only once its newline is written, so
+    a torn tail left by an interrupted write is never read back, and
+    ``append`` cuts it off before writing. There must be only one writer
+    at a time.
     """
 
     COLUMNS = (
@@ -340,9 +356,9 @@ class ResultsCache:
         self.path = path
 
     def append(self, records: list[RunRecord]) -> None:
-        with open(self.path, "a", encoding="utf-8") as fh:
-            for r in records:
-                fh.write(self.format_record(r))
+        with open(self.path, "a+b") as fh:
+            fh.truncate(_last_line_end(fh, fh.seek(0, os.SEEK_END)))
+            fh.write("".join(map(self.format_record, records)).encode())
 
     @staticmethod
     def format_record(r: RunRecord) -> str:
@@ -358,12 +374,11 @@ class ResultsCache:
         out = []
         with open(self.path, encoding="utf-8") as fh:
             for line in fh:
-                line = line.rstrip("\n")
-                if not line:
-                    continue
-                parts = line.split("\t")
+                if not line.endswith("\n"):
+                    continue  # a torn tail: the write never finished
+                parts = line[:-1].split("\t")
                 if len(parts) != 7:
-                    continue  # tolerate a torn trailing line
+                    continue
                 cfg, fid, dim, seed, used, err, hit = parts
                 out.append(
                     RunRecord(

@@ -6,11 +6,11 @@ import pytest
 from modcmaes.benchmarks import make_problem
 from modcmaes.configuration import decode, enumerate_all
 from modcmaes.core import (
-    Individual,
     RestartCriteria,
     SelectionShortfallError,
     StrategyParams,
     ZeroMutationError,
+    _symmetrize,
     adapt,
     apply_threshold,
     default_lambda,
@@ -31,9 +31,11 @@ ELITIST = decode("01000000000")
 PAIRWISE = decode("00000001000")
 
 
-def _ind(f, x=None, d=2):
-    x = np.zeros(d) if x is None else np.asarray(x, float)
-    return Individual(z=np.zeros(d), y=np.zeros(d), x=x, f=f)
+def _gen(fs, xs=None, d=2):
+    """An (f, Y, X) triple with one row per value in ``fs``."""
+    f = np.asarray(fs, float)
+    X = np.zeros((len(f), d)) if xs is None else np.asarray(xs, float)
+    return f, np.zeros((len(f), X.shape[1])), X
 
 
 class TestResolveInteractions:
@@ -115,79 +117,97 @@ class TestApplyThreshold:
 
 class TestEvaluateOffspring:
     def test_inactive_evaluates_all(self):
-        pop = [_ind(None) for _ in range(6)]
+        X = np.zeros((6, 2))
         calls = []
 
         def obj(x):
             calls.append(1)
             return 5.0
 
-        out = evaluate_offspring(pop, obj, seq_active=False, seq_cutoff=3)
+        out = evaluate_offspring(X, obj, seq_active=False, seq_cutoff=3)
         assert len(out) == 6
         assert len(calls) == 6
 
     def test_early_stop_at_cutoff(self):
-        pop = [_ind(None) for _ in range(6)]
+        X = np.zeros((6, 2))
         values = iter([5.0, 0.5, 4.0, 3.0, 2.0, 1.0])  # improvement at index 1
 
         def obj(x):
             return next(values)
 
         out = evaluate_offspring(
-            pop, obj, seq_active=True, seq_cutoff=3, f_best=1.0
+            X, obj, seq_active=True, seq_cutoff=3, f_best=1.0
         )
         assert len(out) == 3
 
     def test_improvement_at_index_two_consumes_three(self):
-        pop = [_ind(None) for _ in range(6)]
+        X = np.zeros((6, 2))
         values = iter([5.0, 6.0, 0.5, 4.0, 3.0, 2.0])
 
         def obj(x):
             return next(values)
 
         out = evaluate_offspring(
-            pop, obj, seq_active=True, seq_cutoff=3, f_best=1.0
+            X, obj, seq_active=True, seq_cutoff=3, f_best=1.0
         )
         assert len(out) == 3
 
     def test_no_improvement_evaluates_all(self):
-        pop = [_ind(None) for _ in range(5)]
+        X = np.zeros((5, 2))
 
         def obj(x):
             return 99.0
 
         out = evaluate_offspring(
-            pop, obj, seq_active=True, seq_cutoff=2, f_best=1.0
+            X, obj, seq_active=True, seq_cutoff=2, f_best=1.0
         )
         assert len(out) == 5
+
+    def test_rows_evaluated_in_order(self):
+        X = np.arange(8.0).reshape(4, 2)
+        out = evaluate_offspring(X, lambda x: x[0], seq_active=False, seq_cutoff=2)
+        assert out.tolist() == [0.0, 2.0, 4.0, 6.0]
 
 
 class TestSelect:
     def test_pairwise_reduces_pairs_first(self):
-        pop = [_ind(3.0), _ind(1.0), _ind(2.0), _ind(5.0)]
-        out = select(pop, [], mu=1, cfg=PAIRWISE)
-        assert out[0].f == 1.0
+        out = select(*_gen([3.0, 1.0, 2.0, 5.0]), None, mu=1, cfg=PAIRWISE)
+        assert out[0][0] == 1.0
+
+    def test_pairwise_tie_keeps_first_of_pair(self):
+        f, Y, X = _gen([1.0, 1.0, 2.0, 2.0], xs=[[0, 0], [1, 1], [2, 2], [3, 3]])
+        out_f, _, out_x = select(f, Y, X, None, mu=2, cfg=PAIRWISE)
+        assert out_f.tolist() == [1.0, 2.0]
+        assert out_x.tolist() == [[0.0, 0.0], [2.0, 2.0]]
+
+    def test_pairwise_odd_prefix_keeps_last_single(self):
+        out_f, _, _ = select(*_gen([3.0, 4.0, 0.5]), None, mu=2, cfg=PAIRWISE)
+        assert out_f.tolist() == [0.5, 3.0]
 
     def test_elitism_keeps_better_parent(self):
-        parents = [_ind(0.5)]
-        pop = [_ind(0.9), _ind(1.5)]
-        out = select(pop, parents, mu=1, cfg=ELITIST)
-        assert out[0].f == 0.5
+        parents = _gen([0.5])
+        out = select(*_gen([0.9, 1.5]), parents, mu=1, cfg=ELITIST)
+        assert out[0][0] == 0.5
 
     def test_comma_discards_better_parent(self):
-        parents = [_ind(0.5)]
-        pop = [_ind(0.9), _ind(1.5)]
-        out = select(pop, parents, mu=1, cfg=DEFAULT)
-        assert out[0].f == 0.9
+        parents = _gen([0.5])
+        out = select(*_gen([0.9, 1.5]), parents, mu=1, cfg=DEFAULT)
+        assert out[0][0] == 0.9
 
     def test_ranked_best_first(self):
-        pop = [_ind(f) for f in (4.0, 2.0, 3.0, 1.0)]
-        out = select(pop, [], mu=3, cfg=DEFAULT)
-        assert [i.f for i in out] == [1.0, 2.0, 3.0]
+        out = select(*_gen([4.0, 2.0, 3.0, 1.0]), None, mu=3, cfg=DEFAULT)
+        assert out[0].tolist() == [1.0, 2.0, 3.0]
+
+    def test_rows_travel_together(self):
+        f, Y, X = _gen([4.0, 2.0, 3.0], xs=[[4, 0], [2, 0], [3, 0]])
+        Y = X * 10.0
+        out_f, out_y, out_x = select(f, Y, X, None, mu=3, cfg=DEFAULT)
+        assert out_x[:, 0].tolist() == out_f.tolist()
+        assert np.array_equal(out_y, out_x * 10.0)
 
     def test_shortfall_raises(self):
         with pytest.raises(SelectionShortfallError):
-            select([_ind(1.0)], [], mu=2, cfg=DEFAULT)
+            select(*_gen([1.0]), None, mu=2, cfg=DEFAULT)
 
 
 class TestRecombination:
@@ -197,8 +217,8 @@ class TestRecombination:
 
     def test_single_parent(self):
         assert np.array_equal(recombination_weights(1, "log"), [1.0])
-        parent = _ind(1.0, x=[2.0, -1.0])
-        assert np.array_equal(recombine([parent], DEFAULT), [2.0, -1.0])
+        X = np.array([[2.0, -1.0]])
+        assert np.array_equal(recombine(X, recombination_weights(1, "log")), [2.0, -1.0])
 
     def test_log_weights_mu3_against_oracle(self):
         # ln(3.5) - ln(i), normalized; frozen from a 50-digit computation.
@@ -216,9 +236,9 @@ class TestRecombination:
                 assert w.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_recombine_weighted_average(self):
-        parents = [_ind(1.0, x=[1.0, 0.0]), _ind(2.0, x=[0.0, 1.0])]
-        cfg = decode("00000000100")  # equal weights
-        assert np.allclose(recombine(parents, cfg), [0.5, 0.5])
+        X = np.array([[1.0, 0.0], [0.0, 1.0]])
+        w = recombination_weights(2, "equal")
+        assert np.allclose(recombine(X, w), [0.5, 0.5])
 
 
 def _fresh_params(cfg, dim=4, seed=123):
@@ -239,20 +259,18 @@ class TestAdapt:
         direction = np.ones(p.dimension) / math.sqrt(p.dimension)
         p.p_sigma = direction * p.chi_n / (1.0 - p.c_sigma)
         sigma_before = p.sigma
-        selected = [
-            _ind(1.0, x=p.mean, d=p.dimension) for _ in range(p.mu)
-        ]
-        adapt(p, selected, selected, cfg, old_mean=p.mean.copy())
+        f, Y, _ = _gen([1.0] * p.mu, d=p.dimension)
+        adapt(p, Y, Y, f, cfg, old_mean=p.mean.copy())
         assert p.sigma / sigma_before == pytest.approx(1.0, abs=1e-12)
 
     def test_tpa_shorter_probe_drives_sigma_down(self):
         cfg = decode("00000010000")
         p = _fresh_params(cfg)
         sigma0 = p.sigma
-        selected = [_ind(1.0, x=p.mean, d=p.dimension) for _ in range(p.mu)]
+        f, Y, _ = _gen([1.0] * p.mu, d=p.dimension)
         previous = sigma0
         for _ in range(50):
-            adapt(p, selected, selected, cfg, tpa_sign=-1, old_mean=p.mean.copy())
+            adapt(p, Y, Y, f, cfg, tpa_sign=-1, old_mean=p.mean.copy())
             assert p.sigma < previous
             previous = p.sigma
         assert p.sigma < sigma0
@@ -265,57 +283,70 @@ class TestAdapt:
         params_off = _fresh_params(cfg_off, dim=dim)
         params_on = _fresh_params(cfg_on, dim=dim)
 
-        def make_gen(params):
-            inds = []
-            for f in (1.0, 2.0, 3.0, 4.0, 5.0, 6.0):
-                y = rng.standard_normal(dim)
-                inds.append(
-                    Individual(z=y, y=y, x=params.mean + params.sigma * y, f=f)
-                )
-            return inds
-
-        gen = make_gen(params_off)
-        gen_copy = [
-            Individual(z=i.z.copy(), y=i.y.copy(), x=i.x.copy(), f=i.f)
-            for i in gen
-        ]
-        selected = sorted(gen, key=lambda i: i.f)[: params_off.mu]
-        selected_copy = sorted(gen_copy, key=lambda i: i.f)[: params_on.mu]
-        new_mean = recombine(selected, cfg_off)
+        f = np.array([1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
+        Y = rng.standard_normal((len(f), dim))
+        X = params_off.mean + params_off.sigma * Y
+        _, y_sel, x_sel = select(f, Y, X, None, params_off.mu, cfg_off)
+        new_mean = recombine(x_sel, params_off.weights)
         old = params_off.mean.copy()
         params_off.mean = new_mean.copy()
         params_on.mean = new_mean.copy()
-        adapt(params_off, selected, gen, cfg_off, old_mean=old)
-        adapt(params_on, selected_copy, gen_copy, cfg_on, old_mean=old)
+        adapt(params_off, y_sel, Y, f, cfg_off, old_mean=old)
+        adapt(params_on, y_sel.copy(), Y.copy(), f.copy(), cfg_on, old_mean=old)
 
-        worst = sorted(gen, key=lambda i: i.f, reverse=True)[: params_on.mu]
+        worst = Y[::-1][: params_on.mu]
         expected = np.zeros((dim, dim))
-        for w_i, ind in zip(params_on.weights, worst):
-            expected += w_i * np.outer(ind.y, ind.y)
+        for w_i, y in zip(params_on.weights, worst):
+            expected += w_i * np.outer(y, y)
         expected *= params_on.beta_active
         diff = params_off.C - params_on.C
         sym_expected = np.triu(expected) + np.triu(expected, 1).T
         assert np.allclose(diff, sym_expected, atol=1e-14)
+
+    def test_active_worst_rows_ties_keep_order(self):
+        # Rows 1 and 2 tie for worst; a stable descending sort keeps them
+        # in row order, so row 1 gets the larger weight, then row 2, row 3.
+        dim = 3
+        f = np.array([0.0, 5.0, 5.0, 4.0, 1.0, 2.0])
+        Y = np.random.default_rng(2).standard_normal((len(f), dim))
+        y_sel = Y[[0, 4, 5]]
+        off = _fresh_params(DEFAULT, dim=dim)
+        on = _fresh_params(decode("10000000000"), dim=dim)
+        adapt(off, y_sel, Y, f, DEFAULT)
+        adapt(on, y_sel, Y, f, decode("10000000000"))
+
+        def active_term(rows):
+            yw = Y[rows]
+            return on.beta_active * ((on.weights[:, None] * yw).T @ yw)
+
+        assert on.mu == 3
+        assert np.allclose(off.C - on.C, active_term([1, 2, 3]), atol=1e-15)
+        assert not np.allclose(off.C - on.C, active_term([2, 1, 3]), atol=1e-15)
 
     def test_covariance_stays_symmetric(self):
         rng = np.random.default_rng(9)
         cfg = decode("10000000000")
         p = _fresh_params(cfg, dim=5)
         for _ in range(30):
-            gen = []
-            for _ in range(p.lambda_):
-                y = rng.standard_normal(5)
-                gen.append(
-                    Individual(
-                        z=y, y=y, x=p.mean + p.sigma * y, f=rng.random()
-                    )
-                )
-            selected = sorted(gen, key=lambda i: i.f)[: p.mu]
+            Y = rng.standard_normal((p.lambda_, 5))
+            X = p.mean + p.sigma * Y
+            f = rng.random(p.lambda_)
+            _, y_sel, x_sel = select(f, Y, X, None, p.mu, cfg)
             old = p.mean.copy()
-            p.mean = recombine(selected, cfg)
-            adapt(p, selected, gen, cfg, old_mean=old)
+            p.mean = recombine(x_sel, p.weights)
+            adapt(p, y_sel, Y, f, cfg, old_mean=old)
             assert np.max(np.abs(p.C - p.C.T)) <= 1e-12
             assert np.all(np.linalg.eigvalsh(p.C) > 0)
+
+    def test_symmetrize_matches_triangle_sum_bitwise(self):
+        rng = np.random.default_rng(4)
+        C = rng.standard_normal((5, 5))
+        C[rng.random((5, 5)) < 0.3] = -0.0
+        out = _symmetrize(C, np.triu(np.ones((5, 5), dtype=bool)))
+        ref = np.triu(C) + np.triu(C, 1).T
+        assert np.array_equal(out, ref)
+        assert np.array_equal(np.signbit(out), np.signbit(ref))
+        assert not ((out == 0.0) & np.signbit(out)).any()  # no -0.0 left
 
 
 class _CountingProblem:

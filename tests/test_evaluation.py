@@ -209,6 +209,11 @@ class TestRunBatch:
         assert a.ert == b.ert
         assert [r.best_error for r in a.runs] == [r.best_error for r in b.runs]
 
+    def test_budget_zero_rejected(self):
+        p = make_problem("sphere", 2)
+        with pytest.raises(ValueError):
+            run_batch("00000000000", p, n=2, budget=0, seed=0)
+
     def test_n_must_be_positive(self):
         p = make_problem("sphere", 2)
         with pytest.raises(ValueError):
@@ -325,6 +330,31 @@ class TestResultsCache:
         with open(path, "a", encoding="utf-8") as fh:
             fh.write("00000000000\tsphere\t2\t9")  # torn write
         assert len(cache.records()) == 1
+
+    def test_torn_hit_index_is_not_read_back(self, tmp_path):
+        # A write cut inside hit_index ("...\t245\n" -> "...\t24") still
+        # has seven fields; it must not read back as hit_index=24, and the
+        # next append must not be glued onto it.
+        path = tmp_path / "cache.tsv"
+        cache = ResultsCache(str(path))
+        cache.append([_rec(100, 100, seed=1)])
+        line = ResultsCache.format_record(_rec(300, 245, seed=2))
+        assert line.endswith("\t245\n")
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write(line[:-2])
+        assert [r.seed for r in cache.records()] == [1]
+        cache.append([_rec(400, None, seed=3)])
+        back = cache.records()
+        assert [(r.seed, r.hit_index) for r in back] == [(1, 100), (3, None)]
+        assert path.read_text().count("\n") == 2
+
+    def test_append_after_torn_first_line(self, tmp_path):
+        path = tmp_path / "cache.tsv"
+        path.write_text("00000000000\tsphere\t2\t9")
+        cache = ResultsCache(str(path))
+        cache.append([_rec(100, 100, seed=1)])
+        assert [r.seed for r in cache.records()] == [1]
+        assert path.read_text() == ResultsCache.format_record(_rec(100, 100, seed=1))
 
     def test_by_key_index(self, tmp_path):
         cache = ResultsCache(str(tmp_path / "cache.tsv"))
