@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass, field
+from functools import cache
 from typing import Callable
 
 import numpy as np
@@ -50,12 +51,19 @@ def _sphere(z: np.ndarray, aux: dict) -> float:
     return float(z @ z)
 
 
+@cache
+def _ellipsoid_coeff(d: int) -> np.ndarray:
+    """Per-dimension conditioning weights 10^(6 i / (D - 1)), read-only."""
+    coeff = 10.0 ** (6.0 * np.arange(d) / (d - 1))
+    coeff.flags.writeable = False
+    return coeff
+
+
 def _ellipsoid(z: np.ndarray, aux: dict) -> float:
     d = len(z)
     if d == 1:
         return float(1e6 * z[0] ** 2)
-    coeff = 10.0 ** (6.0 * np.arange(d) / (d - 1))
-    return float(coeff @ (z * z))
+    return float(_ellipsoid_coeff(d) @ (z * z))
 
 
 def _rastrigin(z: np.ndarray, aux: dict) -> float:

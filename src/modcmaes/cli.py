@@ -85,7 +85,8 @@ class CachedEvaluator:
     Looks up the n seeded runs of a configuration; anything missing is
     executed through ``map_fn`` (the builtin ``map``, or a process
     pool's from :func:`run_map`) and appended to the cache in seed
-    order before the summary is built.
+    order before the summary is built. Each structure is summarized
+    once; a repeat call returns the same (immutable) summary.
     """
 
     def __init__(
@@ -106,21 +107,24 @@ class CachedEvaluator:
         self.target = target
         self.map_fn = map_fn
         self.runs_executed = 0
+        self.seeds = [base_seed + i for i in range(n_runs)]
+        # Keyed by the argument as given and by its string, so a vector
+        # and its string share one summary.
+        self._summaries: dict[ConfigurationVector | str, FitnessSummary] = {}
         key_fn = problem.function_id
         self._mem: dict[str, dict[int, RunRecord]] = {}
         for (cfg, fid, dim), by_seed in cache.by_key().items():
             if fid == key_fn and dim == problem.dimension:
                 self._mem[cfg] = dict(by_seed)
 
-    @property
-    def seeds(self) -> list[int]:
-        return [self.base_seed + i for i in range(self.n_runs)]
-
     def missing_seeds(self, cfg_str: str) -> list[int]:
         have = self._mem.get(cfg_str, {})
         return [s for s in self.seeds if s not in have]
 
     def __call__(self, cfg: ConfigurationVector | str) -> FitnessSummary:
+        summary = self._summaries.get(cfg)
+        if summary is not None:
+            return summary
         cfg_str = cfg if isinstance(cfg, str) else encode(cfg)
         missing = self.missing_seeds(cfg_str)
         if missing:
@@ -134,7 +138,9 @@ class CachedEvaluator:
             for rec in new:
                 slot[rec.seed] = rec
         have = self._mem[cfg_str]
-        return summarize([have[s] for s in self.seeds])
+        summary = summarize([have[s] for s in self.seeds])
+        self._summaries[cfg] = self._summaries[cfg_str] = summary
+        return summary
 
 
 @contextlib.contextmanager

@@ -10,6 +10,7 @@ CMA-ES and ``"11111111122"`` with everything switched on.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator, Mapping
 
 import numpy as np
@@ -73,7 +74,7 @@ class ModuleCatalog:
         if counts[:9] != [2] * 9 or counts[9:] != [3, 3]:
             raise ValueError("modules 1-9 are binary, modules 10-11 ternary")
 
-    @property
+    @cached_property
     def option_counts(self) -> tuple[int, ...]:
         return tuple(e.option_count for e in self.entries)
 

@@ -14,7 +14,7 @@ import contextlib
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cache, partial
 from typing import Iterator
 
@@ -47,9 +47,10 @@ def format_float(x: float) -> str:
     return repr(float(x))
 
 
-@dataclass
+@dataclass(frozen=True)
 class FitnessSummary:
-    """Aggregate of n runs of one configuration on one problem."""
+    """Aggregate of n runs of one configuration on one problem; one
+    summary may be shared by many callers, so it is immutable."""
 
     config: str
     function_id: str
@@ -58,7 +59,7 @@ class FitnessSummary:
     ert: float | None
     fce: float
     std_error: float
-    runs: list[RunRecord] = field(default_factory=list)
+    runs: tuple[RunRecord, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -98,7 +99,7 @@ def summarize(runs: list[RunRecord]) -> FitnessSummary:
         ert=compute_ert(runs),
         fce=fce,
         std_error=std_error,
-        runs=list(runs),
+        runs=tuple(runs),
     )
 
 
@@ -181,14 +182,16 @@ def _relative_distance(
 
     With both values on the same scale, d = (worse - better) / better.
     When only one side has an ERT, the distance is taken between the
-    loser's FCE and the target value, on the target's scale.
+    loser's FCE and the target value, on the target's scale; it is 0
+    when that FCE is at or below ``target``, as it can be when the
+    loser's runs aimed at a lower target.
     """
     if winner == "tie":
         return 0.0
     if basis == "ert":
         if a.ert is None or b.ert is None:
             loser_fce = b.fce if winner == "A" else a.fce
-            return (loser_fce - target) / target
+            return max(loser_fce - target, 0.0) / target
         lo, hi = sorted((a.ert, b.ert))
     else:
         lo, hi = sorted((a.fce, b.fce))
@@ -207,7 +210,8 @@ def compare(
     n = min(a.n, b.n)
     if winner == "tie":
         uncertainty = 1.0
-    elif n < 2 or better.fce <= 0.0 or better.std_error <= 0.0 or not math.isfinite(d):
+    elif (n < 2 or not 0.0 < better.fce < math.inf
+          or better.std_error <= 0.0 or not math.isfinite(d)):
         uncertainty = 0.0
     else:
         uncertainty = welch_uncertainty(d, better.std_error / better.fce, n)

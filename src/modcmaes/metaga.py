@@ -16,7 +16,7 @@ from typing import Callable, Mapping
 import numpy as np
 
 from .configuration import ConfigurationVector, encode, mutate
-from .evaluation import FitnessSummary, compare
+from .evaluation import FitnessSummary, compare_fitness
 
 __all__ = [
     "GAIndividual",
@@ -108,8 +108,12 @@ def random_individual(
 
 
 def _better(a: FitnessSummary, b: FitnessSummary) -> bool:
-    """True when a strictly beats b under the ERT-first ordering."""
-    return compare(a, b).winner == "A"
+    """True when a strictly beats b under the ERT-first ordering.
+
+    The winner of :func:`evaluation.compare` without its Welch
+    uncertainty, which only the reports read.
+    """
+    return compare_fitness(a.ert, a.fce, b.ert, b.fce)[0] == "A"
 
 
 def ga_step(

@@ -1,9 +1,10 @@
+import dataclasses
 import os
 from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
-from modcmaes import evaluation
+from modcmaes import cli, evaluation
 from modcmaes.benchmarks import make_problem
 from modcmaes.cli import (
     CachedEvaluator,
@@ -436,3 +437,41 @@ class TestCachedEvaluator:
         assert second.runs_executed == 0
         assert s1.fce == s2.fce
         assert s1.ert == s2.ert
+
+    def test_repeat_lookup_returns_memoized_summary(
+        self, tmp_path, monkeypatch
+    ):
+        path = str(tmp_path / "c.tsv")
+        problem = make_problem("sphere", 2)
+        CachedEvaluator(problem, ResultsCache(path), n_runs=3, budget=300,
+                        base_seed=5)("01000000000")
+        calls = {"summarize": 0, "missing_seeds": 0}
+        summarize, missing_seeds = cli.summarize, CachedEvaluator.missing_seeds
+
+        def counted_summarize(runs):
+            calls["summarize"] += 1
+            return summarize(runs)
+
+        def counted_missing_seeds(self, cfg_str):
+            calls["missing_seeds"] += 1
+            return missing_seeds(self, cfg_str)
+
+        monkeypatch.setattr(cli, "summarize", counted_summarize)
+        monkeypatch.setattr(
+            CachedEvaluator, "missing_seeds", counted_missing_seeds)
+        ev = CachedEvaluator(problem, ResultsCache(path), n_runs=3,
+                             budget=300, base_seed=5)
+        first = ev(decode("01000000000"))
+        assert calls == {"summarize": 1, "missing_seeds": 1}
+        assert ev(decode("01000000000")) is first  # an equal vector
+        assert ev("01000000000") is first  # its string
+        assert calls == {"summarize": 1, "missing_seeds": 1}
+        assert ev.runs_executed == 0
+
+        by_seed = ResultsCache(path).by_key()[("01000000000", "sphere", 2)]
+        fresh = summarize([by_seed[s] for s in (5, 6, 7)])
+        for f in dataclasses.fields(fresh):
+            assert getattr(first, f.name) == getattr(fresh, f.name), f.name
+        assert isinstance(first.runs, tuple)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            first.fce = 0.0

@@ -119,6 +119,19 @@ class TestCompare:
         assert res.winner == "B"
         assert res.basis == "fce"
 
+    def test_loser_fce_below_target_is_distance_zero(self):
+        # B never hit its own (lower) target but averages below 1e-8.
+        for fce in (0.0, 5e-9, 1e-8):
+            res = compare(_summary(100.0, 1e-9, n=4, std=1e-10),
+                          _summary(None, fce, n=4))
+            assert (res.winner, res.basis, res.d) == ("A", "ert", 0.0)
+            assert res.uncertainty == 1.0
+
+    def test_winner_with_infinite_fce_is_certain(self):
+        res = compare(_summary(None, 0.0, n=2, std=0.0),
+                      _summary(1.0, math.inf, n=2, std=1.0))
+        assert (res.winner, res.uncertainty) == ("B", 0.0)
+
     def test_tie_on_equal_fce(self):
         res = compare(_summary(None, 1.5), _summary(None, 1.5))
         assert res.winner == "tie"

@@ -1,7 +1,12 @@
+import dataclasses
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from modcmaes import core
+from modcmaes import core, metaga
 from modcmaes.benchmarks import make_problem
 from modcmaes.configuration import ConfigurationVector, encode, enumerate_all
 from modcmaes.evaluation import FitnessSummary, compare, summarize
@@ -303,3 +308,26 @@ def test_random_individual_uniform_coverage():
     seen = {encode(random_individual(rng).r) for _ in range(2000)}
     # 4608 genomes; 2000 uniform draws should hit a large spread.
     assert len(seen) > 1500
+
+
+_ERT = st.one_of(st.none(), st.floats(1.0, 1e6))
+_FCE = st.one_of(st.just(0.0), st.just(math.inf), st.floats(1e-12, 1e6))
+_STD = st.one_of(st.just(0.0), st.floats(1e-12, 1e6))
+_SUMMARY = st.builds(
+    lambda n, ert, fce, std: FitnessSummary(
+        "00000000000", "sphere", 2, n, ert, fce, std),
+    st.integers(0, 32), _ERT, _FCE, _STD,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(a=_SUMMARY, b=_SUMMARY, same_ert=st.booleans(),
+       same_fce=st.booleans())
+def test_better_is_compare_winner(a, b, same_ert, same_fce):
+    """The GA's ordering is compare's winner without the Welch test."""
+    if same_ert:
+        b = dataclasses.replace(b, ert=a.ert)
+    if same_fce:
+        b = dataclasses.replace(b, fce=a.fce)
+    assert metaga._better(a, b) == (compare(a, b).winner == "A")
+    assert metaga._better(b, a) == (compare(b, a).winner == "A")
