@@ -100,22 +100,25 @@ def resolve_interactions(
 
 
 def apply_threshold(z: np.ndarray, threshold: float) -> np.ndarray:
-    """Push a short sample vector out across the length threshold.
+    """Push short sample vectors out across the length threshold.
 
-    Vectors at least ``threshold`` long pass unchanged; shorter ones are
-    mirrored across the threshold to length ``2*threshold - |z|``,
-    keeping the direction and avoiding a point mass at the threshold.
+    ``z`` is one vector (D,) or a stack of rows (n, D). Vectors at least
+    ``threshold`` long pass unchanged; shorter ones are mirrored across
+    the threshold to length ``2*threshold - |z|``, keeping the direction
+    and avoiding a point mass at the threshold.
     """
     if threshold < 0:
         raise ValueError("threshold must be >= 0")
     if threshold == 0.0:
         return z
-    norm = math.sqrt(z @ z)
-    if norm >= threshold:
+    # sqrt of the per-row BLAS dot, the bits of math.sqrt(z @ z)
+    norm = np.sqrt(np.matmul(z[..., None, :], z[..., :, None])[..., 0, 0])
+    short = ~(norm >= threshold)
+    if not short.any():
         return z
-    if norm == 0.0:
+    if not norm[short].all():
         raise ZeroMutationError("cannot scale a zero vector to the threshold")
-    return z * ((2.0 * threshold - norm) / norm)
+    return z * np.where(short, (2.0 * threshold - norm) / norm, 1.0)[..., None]
 
 
 def evaluate_offspring(
@@ -157,19 +160,26 @@ def select(
     Pairwise selection keeps the better of rows 2i and 2i+1, elitism adds
     the previous ``parents``; ties keep the earlier candidate.
     """
+    n = len(f)
     if cfg.pairwise:
-        a = np.arange(0, len(f), 2)
-        b = np.minimum(a + 1, len(f) - 1)
-        win = np.where(f[b] < f[a], b, a)
-        f, Y, X = f[win], Y[win], X[win]
+        a = np.arange(0, n, 2)
+        b = np.minimum(a + 1, n - 1)
+        rows = np.where(f.take(b) < f.take(a), b, a)
+    else:
+        rows = np.arange(n)
     if cfg.elitist and parents is not None:
-        f, Y, X = (np.concatenate(pair) for pair in zip((f, Y, X), parents))
-    if len(f) < mu:
+        f_par, y_par, x_par = parents
+        rows = np.concatenate((rows, np.arange(n, n + len(f_par))))
+        f = np.concatenate((f, f_par))
+        Y = np.concatenate((Y, y_par))
+        X = np.concatenate((X, x_par))
+    if len(rows) < mu:
         raise SelectionShortfallError(
-            f"need {mu} parents but only {len(f)} candidates"
+            f"need {mu} parents but only {len(rows)} candidates"
         )
-    best = np.argsort(f, kind="stable")[:mu]
-    return f[best], Y[best], X[best]
+    # One row-index array gathers each of f, Y and X once.
+    best = rows.take(f.take(rows).argsort(kind="stable")[:mu])
+    return f.take(best), Y.take(best, axis=0), X.take(best, axis=0)
 
 
 def recombination_weights(mu: int, option: str) -> np.ndarray:
@@ -513,7 +523,10 @@ def _local_stop(params: StrategyParams, gen_best: float) -> str | None:
 def _mutation_vectors(params: StrategyParams, use_threshold: bool) -> np.ndarray:
     Z = params.sampler.next_batch(params.lambda_eff)
     if use_threshold:
-        for i in range(len(Z)):
+        # Only rows of zero length go through the redraw loop.
+        live = np.matmul(Z[:, None, :], Z[:, :, None])[:, 0, 0] > 0.0
+        Z[live] = apply_threshold(Z[live], params.threshold)
+        for i in np.flatnonzero(~live):
             for _ in range(16):  # a zero row is redrawn, in row order
                 try:
                     Z[i] = apply_threshold(Z[i], params.threshold)

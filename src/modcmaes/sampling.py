@@ -17,6 +17,12 @@ of :func:`radical_inverse` elementwise over (count, D); the low digits
 of each index are read from a small per-base table of the loop's
 partial sums, memoized on the tuple of bases, and the loop adds only
 the high digits.
+
+A :class:`Sampler` makes batches ahead: while the count of its calls
+repeats, one refill draws and decorates the batches of many calls in
+one stacked pass, so the wavefront's per-row calls are shared. The
+stream and every returned double are unchanged; a call with another
+count drops the unserved batches and reads their raw rows first.
 """
 
 from __future__ import annotations
@@ -199,7 +205,8 @@ def _orthonormalize(groups: np.ndarray) -> np.ndarray:
     row-by-row loop over one group.
     """
     q = groups.astype(float, copy=True)
-    norms = np.linalg.norm(groups, axis=-1)
+    # what np.linalg.norm(groups, axis=-1) evaluates, without its overhead
+    norms = np.sqrt(np.add.reduce(groups * groups, axis=-1))
     n = q.shape[1]
     for _ in range(2):  # twice is enough for ~1e-16 off-diagonals
         for j in range(n):
@@ -212,10 +219,15 @@ def _orthonormalize(groups: np.ndarray) -> np.ndarray:
                 qj[zero] = groups[zero, j]
                 nj[zero] = np.where(norms[zero, j] > 0, norms[zero, j], 1.0)
             qj /= nj[:, None]
-            rest = q[:, j + 1:]
-            coef = np.matmul(rest[..., None, :], qj[:, None, :, None])
-            rest -= coef[..., 0] * qj[:, None, :]
+            if j + 1 < n:
+                rest = q[:, j + 1:]
+                coef = np.matmul(rest[..., None, :], qj[:, None, :, None])
+                rest -= coef[..., 0] * qj[:, None, :]
     return q * norms[..., None]
+
+
+# Raw values one refill may draw ahead of the calls it serves.
+_AHEAD_CAP = 2**14
 
 
 class Sampler:
@@ -225,11 +237,21 @@ class Sampler:
     distinct seeds can run concurrently. ``next_batch`` applies
     orthonormalization per freshly drawn group of the call and mirrors
     pairs afterwards, so mirror images keep the orthogonality.
+
+    Batches are made ahead (see the module docstring): a refill makes K
+    batches, where K starts at 1 and doubles with each refill for the
+    same count while the raw values drawn stay within ``_AHEAD_CAP``.
     """
 
     def __init__(self, spec: SamplerSpec):
         self.spec = spec
         d = spec.dimension
+        # Raw rows not yet consumed by a served batch, and the decorated
+        # batches made from their head.
+        self._rows = np.empty((0, d))
+        self._ahead = np.empty((0, 0, d))
+        self._count = 0
+        self._k = 0
         if spec.base == "gaussian":
             self._rng = np.random.default_rng(spec.seed)
         elif spec.base == "sobol":
@@ -264,28 +286,49 @@ class Sampler:
         self._index += count
         return gaussian_transform(u)
 
+    def _fresh_n(self, count: int) -> int:
+        return (count + 1) // 2 if self.spec.mirrored else count
+
+    def _refill(self, count: int) -> None:
+        """Make the next K batches of ``count`` vectors in one pass."""
+        spec, d = self.spec, self.spec.dimension
+        fresh_n = self._fresh_n(count)
+        k = self._k = max(1, min(2 * self._k, _AHEAD_CAP // (fresh_n * d)))
+        short = k * fresh_n - len(self._rows)
+        if short == k * fresh_n:
+            self._rows = self._raw(short)
+        elif short > 0:
+            self._rows = np.concatenate((self._rows, self._raw(short)))
+        fresh = self._rows[: k * fresh_n].reshape(k, fresh_n, d)
+        if spec.orthogonal:
+            block = min(fresh_n, d)
+            full = fresh_n - fresh_n % block
+            fresh = fresh.copy()  # the raw rows stay raw
+            if block > 1:
+                fresh[:, :full] = _orthonormalize(
+                    fresh[:, :full].reshape(-1, block, d)
+                ).reshape(k, full, d)
+            if fresh_n - full > 1:
+                fresh[:, full:] = _orthonormalize(fresh[:, full:])
+        if spec.mirrored:
+            batch = np.empty((k, 2 * fresh_n, d))
+            batch[:, 0::2] = fresh
+            batch[:, 1::2] = -fresh
+            fresh = batch[:, :count]
+        self._ahead = fresh
+
     def next_batch(self, count: int) -> np.ndarray:
         """Return ``count`` vectors as a (count, D) array."""
         if count < 1:
             raise ValueError("count must be >= 1")
-        spec = self.spec
-        fresh_n = (count + 1) // 2 if spec.mirrored else count
-        fresh = self._raw(fresh_n)
-        if spec.orthogonal:
-            block = min(fresh_n, spec.dimension)
-            full = fresh_n - fresh_n % block
-            if block > 1:
-                fresh[:full] = _orthonormalize(
-                    fresh[:full].reshape(-1, block, spec.dimension)
-                ).reshape(full, spec.dimension)
-            if fresh_n - full > 1:
-                fresh[full:] = _orthonormalize(fresh[None, full:])[0]
-        if not spec.mirrored:
-            return fresh
-        batch = np.empty((2 * fresh_n, spec.dimension))
-        batch[0::2] = fresh
-        batch[1::2] = -fresh
-        return batch[:count]
+        if count != self._count:
+            # Drop the unserved batches; their raw rows stay next in line.
+            self._count, self._k, self._ahead = count, 0, self._ahead[:0]
+        if not len(self._ahead):
+            self._refill(count)
+        batch, self._ahead = self._ahead[0], self._ahead[1:]
+        self._rows = self._rows[self._fresh_n(count):]
+        return batch
 
 
 def next_batch(spec: SamplerSpec, count: int) -> np.ndarray:

@@ -10,6 +10,7 @@ from modcmaes.core import (
     SelectionShortfallError,
     StrategyParams,
     ZeroMutationError,
+    _mutation_vectors,
     _symmetrize,
     adapt,
     apply_threshold,
@@ -113,6 +114,73 @@ class TestApplyThreshold:
             t = rng.uniform(0.0, 2.0)
             out = apply_threshold(z, t)
             assert np.linalg.norm(out) >= t - 1e-12
+
+    def test_rows_match_scalar_definition_bitwise(self):
+        rng = np.random.default_rng(3)
+        for d in (1, 2, 5, 20):
+            Z = rng.standard_normal((13, d)) * rng.uniform(0.01, 3.0, (13, 1))
+            t = 1.5 * math.sqrt(d)
+            want = []
+            for z in Z:
+                norm = math.sqrt(z @ z)
+                want.append(z if norm >= t else z * ((2.0 * t - norm) / norm))
+            assert apply_threshold(Z, t).tobytes() == np.array(want).tobytes()
+
+    def test_stack_with_zero_row_signals_resample(self):
+        Z = np.array([[0.1, 0.0], [0.0, 0.0]])
+        with pytest.raises(ZeroMutationError):
+            apply_threshold(Z, 1.0)
+        assert apply_threshold(Z, 0.0) is Z
+
+
+class _ScriptedSampler:
+    """Serves fixed batches in order and records the requested counts."""
+
+    def __init__(self, batches):
+        self.batches = [np.asarray(b, float) for b in batches]
+        self.counts = []
+
+    def next_batch(self, count):
+        self.counts.append(count)
+        batch = self.batches.pop(0)
+        assert len(batch) == count
+        return batch.copy()
+
+
+class TestMutationVectors:
+    def _params(self, batches, threshold=1.0):
+        p = _fresh_params(decode("00000100000"), dim=2)
+        p.lambda_eff = len(batches[0])
+        p.threshold = threshold
+        p.sampler = _ScriptedSampler(batches)
+        return p
+
+    def test_only_zero_rows_are_redrawn_in_row_order(self):
+        zero, short, long_ = [0.0, 0.0], [0.3, -0.4], [3.0, 4.0]
+        p = self._params([
+            [zero, short, long_, zero, short],
+            [zero], [[0.0, 0.5]],  # row 0: still zero, then short
+            [long_],  # row 3
+        ])
+        Z = _mutation_vectors(p, True)
+        assert p.sampler.counts == [5, 1, 1, 1]
+        assert np.array_equal(Z[0], [0.0, 1.5])
+        assert np.array_equal(Z[1], apply_threshold(np.array(short), 1.0))
+        assert np.array_equal(Z[2], long_)
+        assert np.array_equal(Z[3], long_)
+        assert np.array_equal(Z[4], Z[1])
+
+    def test_zero_row_gives_up_after_sixteen_tries(self):
+        p = self._params([[[0.0, 0.0], [3.0, 4.0]]] + [[[0.0, 0.0]]] * 16)
+        Z = _mutation_vectors(p, True)
+        assert p.sampler.counts == [2] + [1] * 16
+        assert np.array_equal(Z, [[0.0, 0.0], [3.0, 4.0]])
+
+    def test_zero_threshold_keeps_zero_rows(self):
+        p = self._params([[[0.0, 0.0], [0.3, 0.4]]], threshold=0.0)
+        Z = _mutation_vectors(p, True)
+        assert p.sampler.counts == [2]
+        assert np.array_equal(Z, [[0.0, 0.0], [0.3, 0.4]])
 
 
 class TestEvaluateOffspring:

@@ -6,10 +6,13 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import erf
 
 import modcmaes
 from modcmaes.sampling import (
+    _AHEAD_CAP,
     CapabilityError,
     Sampler,
     SamplerSpec,
@@ -298,3 +301,65 @@ def test_halton_bit_identical_past_table_width():
     got = s.next_batch(50)
     want = gaussian_transform(_halton_pointwise(10**12, 50, 3))
     assert np.array_equal(got, want)
+
+
+# Call plans for the look-ahead: about 80% of the calls ask for the
+# run's lambda, 10% for a single vector (a threshold redraw) and 10%
+# for some other count.
+_CALL_PLANS = st.tuples(
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 24),
+    st.lists(st.tuples(st.integers(0, 9), st.integers(1, 30)),
+             min_size=10, max_size=40),
+)
+
+
+@pytest.mark.parametrize("base", ["gaussian", "sobol", "halton"])
+@pytest.mark.parametrize("mirrored", [False, True])
+@pytest.mark.parametrize("orthogonal", [False, True])
+@pytest.mark.parametrize("d", [1, 2, 3, 5, 10, 20])
+@settings(max_examples=4)
+@given(plan=_CALL_PLANS)
+def test_look_ahead_matches_per_call_draws(base, mirrored, orthogonal, d,
+                                           plan):
+    """Batches made ahead are the bytes each call would draw by itself."""
+    seed, lam, picks = plan
+    spec = SamplerSpec(base=base, mirrored=mirrored, orthogonal=orthogonal,
+                       dimension=d, seed=seed)
+    sampler, reference = Sampler(spec), Sampler(spec)
+    for pick, other in picks:
+        count = lam if pick < 8 else 1 if pick == 8 else other
+        fresh_n = (count + 1) // 2 if mirrored else count
+        want = _reference_batch(spec, reference._raw(fresh_n))[:count]
+        got = sampler.next_batch(count)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes(), (spec, count)
+
+
+def test_look_ahead_holds_at_most_the_cap():
+    most = []
+    for d, counts in ((2, [6] * 3000 + [1, 6, 5] * 50),
+                      (20, [12] * 600 + [1000, 12, 12]),
+                      (5, [7, 1] * 100 + [4096] * 3)):
+        sampler = Sampler(SamplerSpec(base="gaussian", mirrored=True,
+                                      dimension=d, seed=1))
+        held = 0
+        for count in counts:
+            sampler.next_batch(count)
+            held = max(held, sampler._rows.size)
+        most.append(held)
+    assert max(most) <= _AHEAD_CAP
+    # The cap is approached: K doubles while a count repeats.
+    assert most[0] > _AHEAD_CAP // 2
+
+
+def test_look_ahead_draws_in_doubling_refills():
+    sampler = Sampler(SamplerSpec(base="halton", dimension=2, seed=3))
+    raw = sampler._raw
+    sizes = []
+    sampler._raw = lambda count: sizes.append(count) or raw(count)
+    for _ in range(64):
+        sampler.next_batch(1)
+    assert sizes == [1, 2, 4, 8, 16, 32, 64]
+    sampler.next_batch(3)  # a new count is served from the rows held
+    assert sizes[7:] == []
