@@ -4,9 +4,11 @@ Subcommands: ``run`` (one configuration, n seeded runs), ``bruteforce``
 (sweep a configuration space), ``ga`` (repeated structure search),
 ``suite`` (benchmark manifest), and the pure-report commands
 ``report-rank``, ``report-activation``, ``report-convergence``. All
-outputs are UTF-8 tab-separated text with ``NA`` for missing values;
-runs are cached per (config, function, dimension, seed) so reports and
-repeated invocations never recompute anything.
+outputs are UTF-8 tab-separated text with ``NA`` for missing values.
+Runs are cached per (config, function, dimension, seed); every command,
+``report-rank`` included, reads the cache once through one
+:class:`CachedEvaluator`, so nothing is recomputed and reports never
+execute a run.
 """
 
 from __future__ import annotations
@@ -80,13 +82,13 @@ def _parse_free(spec: str | None) -> dict[int, int] | None:
 
 
 class CachedEvaluator:
-    """Fitness evaluator backed by the append-only results cache.
-
-    Looks up the n seeded runs of a configuration; anything missing is
-    executed through ``map_fn`` (the builtin ``map``, or a process
-    pool's from :func:`run_map`) and appended to the cache in seed
-    order before the summary is built. Each structure is summarized
-    once; a repeat call returns the same (immutable) summary.
+    """Fitness evaluator backed by the append-only results cache, and
+    the cache's only reader: it indexes the runs of its own (function,
+    dimension) once. :meth:`cached` returns a structure's summary when
+    all n seeded runs are there and never executes a run; a call first
+    executes the missing runs through ``map_fn`` (the builtin ``map``,
+    or a pool's from :func:`run_map`) and appends them in seed order.
+    Each structure is summarized once, into one immutable summary.
     """
 
     def __init__(
@@ -111,35 +113,42 @@ class CachedEvaluator:
         # Keyed by the argument as given and by its string, so a vector
         # and its string share one summary.
         self._summaries: dict[ConfigurationVector | str, FitnessSummary] = {}
-        key_fn = problem.function_id
         self._mem: dict[str, dict[int, RunRecord]] = {}
-        for (cfg, fid, dim), by_seed in cache.by_key().items():
-            if fid == key_fn and dim == problem.dimension:
-                self._mem[cfg] = dict(by_seed)
+        for r in cache.records():
+            if (r.function_id == problem.function_id
+                    and r.dimension == problem.dimension):
+                self._mem.setdefault(r.config, {})[r.seed] = r
 
     def missing_seeds(self, cfg_str: str) -> list[int]:
         have = self._mem.get(cfg_str, {})
         return [s for s in self.seeds if s not in have]
+
+    def cached(self, cfg_str: str) -> FitnessSummary | None:
+        """The summary of ``cfg_str`` when all n seeds are cached, else
+        ``None``; never executes a run."""
+        summary = self._summaries.get(cfg_str)
+        if summary is None and not self.missing_seeds(cfg_str):
+            have = self._mem[cfg_str]
+            summary = summarize([have[s] for s in self.seeds])
+            self._summaries[cfg_str] = summary
+        return summary
 
     def __call__(self, cfg: ConfigurationVector | str) -> FitnessSummary:
         summary = self._summaries.get(cfg)
         if summary is not None:
             return summary
         cfg_str = cfg if isinstance(cfg, str) else encode(cfg)
-        missing = self.missing_seeds(cfg_str)
-        if missing:
+        summary = self.cached(cfg_str)
+        if summary is None:
             new = execute_runs(
-                cfg_str, self.problem, self.budget, missing, self.target,
-                self.map_fn,
+                cfg_str, self.problem, self.budget,
+                self.missing_seeds(cfg_str), self.target, self.map_fn,
             )
             self.runs_executed += len(new)
             self.cache.append(new)
-            slot = self._mem.setdefault(cfg_str, {})
-            for rec in new:
-                slot[rec.seed] = rec
-        have = self._mem[cfg_str]
-        summary = summarize([have[s] for s in self.seeds])
-        self._summaries[cfg] = self._summaries[cfg_str] = summary
+            self._mem.setdefault(cfg_str, {}).update((r.seed, r) for r in new)
+            summary = self.cached(cfg_str)
+        self._summaries[cfg] = summary
         return summary
 
 
@@ -261,11 +270,12 @@ def rank_table(ranks: Sequence[int]) -> list[tuple[str, float]]:
 
 
 def _aggregate_fitness(
-    summaries: Sequence[FitnessSummary],
+    items: Sequence[FitnessSummary | TraceEntry],
 ) -> tuple[float | None, float]:
-    erts = [s.ert for s in summaries if s.ert is not None]
+    """Mean ERT over the items that have one (else ``None``), mean FCE."""
+    erts = [s.ert for s in items if s.ert is not None]
     ert = float(np.mean(erts)) if erts else None
-    fce = float(np.mean([s.fce for s in summaries]))
+    fce = float(np.mean([s.fce for s in items]))
     return ert, fce
 
 
@@ -289,43 +299,38 @@ def _read_trace(path: str) -> GARunTrace:
 
 
 def _trace_paths(directory: str) -> list[str]:
+    if not os.path.isdir(directory):
+        return []
     names = sorted(
         n for n in os.listdir(directory) if n.startswith("trace_")
     )
     return [os.path.join(directory, n) for n in names]
 
 
+def _incomplete(summaries: Sequence[FitnessSummary | None], what: str) -> bool:
+    """Whether a summary is missing; if so, say how many on stderr."""
+    missing = sum(s is None for s in summaries)
+    if missing:
+        print(f"cache incomplete: {missing} {what} missing runs", file=sys.stderr)
+    return missing > 0
+
+
 def report_rank(args, out=None) -> int:
     out = out or sys.stdout
     frozen = _parse_free(args.free)
-    cache = ResultsCache(args.cache)
-    table = cache.by_key()
-    seeds = set(range(args.seed, args.seed + args.runs))
-
-    bf: dict[str, FitnessSummary] = {}
-    missing = 0
-    for cfg in enumerate_all(frozen=frozen):
-        cfg_str = encode(cfg)
-        by_seed = table.get((cfg_str, args.function, args.dim), {})
-        if not seeds <= set(by_seed):
-            missing += 1
-            continue
-        bf[cfg_str] = summarize([by_seed[s] for s in sorted(seeds)])
-    if missing:
-        print(
-            f"cache incomplete: {missing} configurations missing runs",
-            file=sys.stderr,
-        )
+    with _open_evaluator(args) as evaluator:
+        bf = [evaluator.cached(encode(cfg)) for cfg in enumerate_all(frozen=frozen)]
+        if _incomplete(bf, "configurations"):
+            return 3
+        traces = [_read_trace(p) for p in _trace_paths(args.traces)]
+        if not traces:
+            print("no trace files found", file=sys.stderr)
+            return 3
+        ga_summaries = [evaluator.cached(t.best_config) for t in traces]
+    if _incomplete(ga_summaries, "GA best structures"):
         return 3
-
-    traces = [_read_trace(p) for p in _trace_paths(args.traces)]
-    if not traces:
-        print("no trace files found", file=sys.stderr)
-        return 3
-    ga_summaries = [bf[t.best_config] for t in traces]
     ga_fit = _aggregate_fitness(ga_summaries)
-    bf_fit = [(s.ert, s.fce) for s in bf.values()]
-    rank = rank_aggregate(bf_fit, ga_fit)
+    rank = rank_aggregate([(s.ert, s.fce) for s in bf], ga_fit)
 
     print(f"ga_aggregate_ert\t{_fmt(ga_fit[0])}", file=out)
     print(f"ga_aggregate_fce\t{_fmt(ga_fit[1])}", file=out)
@@ -412,10 +417,7 @@ def report_convergence(
     rows = []
     for g in range(generations):
         entries = [t.entries[g] for t in traces if g < len(t.entries)]
-        erts = [e.ert for e in entries if e.ert is not None]
-        ert = float(np.mean(erts)) if erts else None
-        fce = float(np.mean([e.fce for e in entries]))
-        rows.append((g + 1, ert, fce))
+        rows.append((g + 1, *_aggregate_fitness(entries)))
     return rows
 
 
@@ -439,7 +441,7 @@ def cmd_suite(args, out=None) -> int:
 
 
 def positive_int(text: str) -> int:
-    """argparse type for budgets: an integer of at least 1."""
+    """argparse type for counts and budgets: an integer of at least 1."""
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
@@ -449,7 +451,7 @@ def positive_int(text: str) -> int:
 def _add_common(p: argparse.ArgumentParser, cache_required: bool = True):
     p.add_argument("--function", required=True, choices=sorted(benchmarks.FUNCTIONS))
     p.add_argument("--dim", type=int, required=True, choices=benchmarks.DIMENSIONS)
-    p.add_argument("--runs", type=int, default=32)
+    p.add_argument("--runs", type=positive_int, default=32)
     p.add_argument("--budget", type=positive_int, default=None,
                    help="evaluations per run (default 1000*dim)")
     p.add_argument("--target", type=float, default=None)
@@ -481,7 +483,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--ga-runs", type=int, default=30)
     p.add_argument("--ga-budget", type=positive_int, default=240)
-    p.add_argument("--ga-lambda", type=int, default=12)
+    p.add_argument("--ga-lambda", type=positive_int, default=12)
     p.add_argument("--out", required=True, help="directory for trace files")
     p.add_argument("--free", default=None)
     p.set_defaults(func=cmd_ga)

@@ -230,8 +230,6 @@ class StrategyParams:
         dimension: int,
         cfg: ConfigurationVector,
         lambda_: int | None = None,
-        mu: int | None = None,
-        sigma0: float | None = None,
         lower: np.ndarray | None = None,
         upper: np.ndarray | None = None,
         mean: np.ndarray | None = None,
@@ -244,9 +242,8 @@ class StrategyParams:
         self.upper = np.full(d, 5.0) if upper is None else np.asarray(upper, float)
 
         lam = lambda_ if lambda_ is not None else default_lambda(d)
-        mu_ = mu if mu is not None else lam // 2
         self.lambda_, self.mu, self.lambda_eff, self.seq_cutoff = (
-            resolve_interactions(cfg, lam, mu_)
+            resolve_interactions(cfg, lam, lam // 2)
         )
 
         self.weights = recombination_weights(self.mu, cfg.weights_option)
@@ -267,7 +264,7 @@ class StrategyParams:
         self.chi_n = math.sqrt(d) * (1.0 - 1.0 / (4.0 * d) + 1.0 / (21.0 * d * d))
 
         width = float(self.upper[0] - self.lower[0])
-        self.sigma0 = sigma0 if sigma0 is not None else 0.2 * width
+        self.sigma0 = 0.2 * width
         self.sigma = self.sigma0
         self.mean = (
             np.zeros(d) if mean is None else np.asarray(mean, dtype=float).copy()
@@ -591,9 +588,6 @@ def run(
     problem,
     budget: int,
     seed: int,
-    lambda_: int | None = None,
-    mu: int | None = None,
-    sigma0: float | None = None,
     target: float | None = None,
     criteria: RestartCriteria | None = None,
     record_trajectory: bool = False,
@@ -614,8 +608,7 @@ def run(
         target = getattr(problem, "target_precision", 1e-8)
     rng = np.random.default_rng(seed)
     acct = _Accountant(problem, budget, target, record_trajectory)
-    base_lambda = lambda_ if lambda_ is not None else default_lambda(d)
-    restart = RestartState(regime=cfg.restart_regime, lambda_default=base_lambda)
+    restart = RestartState(regime=cfg.restart_regime, lambda_default=default_lambda(d))
     generation_best: list[float] | None = [] if record_generations else None
 
     starts = 0
@@ -625,14 +618,11 @@ def run(
             # A population larger than the remaining budget cannot
             # finish a generation; cap it so schedules never balloon.
             lam = max(4, min(lam, budget - acct.used + 2))
-            mu_ = mu if (mu is not None and starts == 0) else lam // 2
             consumed_before = acct.used
             params = StrategyParams(
                 dimension=d,
                 cfg=cfg,
                 lambda_=lam,
-                mu=mu_,
-                sigma0=sigma0,
                 lower=problem.lower,
                 upper=problem.upper,
                 mean=rng.uniform(problem.lower, problem.upper),

@@ -343,7 +343,8 @@ class ResultsCache:
     never reached). A line counts only once its newline is written, so
     a torn tail left by an interrupted write is never read back, and
     ``append`` cuts it off before writing. There must be only one writer
-    at a time.
+    at a time. The class holds the storage format only; the commands
+    read runs back through ``cli.CachedEvaluator``'s index.
     """
 
     COLUMNS = (
@@ -396,18 +397,3 @@ class ResultsCache:
                     )
                 )
         return out
-
-    def by_key(self) -> dict[tuple[str, str, int], dict[int, RunRecord]]:
-        """Index records as (config, function, dim) -> seed -> record."""
-        table: dict[tuple[str, str, int], dict[int, RunRecord]] = {}
-        for r in self.records():
-            table.setdefault((r.config, r.function_id, r.dimension), {})[
-                r.seed
-            ] = r
-        return table
-
-    def seeds_present(
-        self, config: str, function_id: str, dimension: int
-    ) -> set[int]:
-        key = (config, function_id, dimension)
-        return set(self.by_key().get(key, {}))

@@ -15,6 +15,7 @@ from modcmaes.cli import (
     report_convergence,
 )
 from modcmaes.configuration import decode
+from modcmaes.core import RunRecord
 from modcmaes.evaluation import ResultsCache
 from modcmaes.metaga import GARunTrace, TraceEntry
 
@@ -32,6 +33,8 @@ BASE = ["--function", "sphere", "--dim", "2", "--budget", "400"]
     ["run", "--config", "00000000000", "--budget", "0"],
     ["bruteforce", "--budget", "-3"],
     ["ga", "--budget", "400", "--ga-budget", "0", "--out", "traces"],
+    ["run", "--config", "00000000000", "--runs", "0"],
+    ["ga", "--budget", "400", "--ga-lambda", "0", "--out", "traces"],
 ])
 def test_budget_below_one_rejected(argv, tmp_path, capsys):
     cache = str(tmp_path / "cache.tsv")
@@ -303,6 +306,76 @@ class TestRankReport:
         assert code == 3
         assert "8 configurations missing" in err
 
+    def _warm(self, tmp_path, capsys, best_configs):
+        """A cache swept over genes 1-3, and one hand-written trace per
+        GA best structure."""
+        cache = str(tmp_path / "cache.tsv")
+        _run_cli(
+            ["bruteforce", *BASE, "--runs", "2", "--seed", "0",
+             "--cache", cache, "--free", "1,2,3"],
+            capsys,
+        )
+        out_dir = tmp_path / "traces"
+        os.makedirs(out_dir)
+        for i, cfg in enumerate(best_configs):
+            (out_dir / f"trace_{i:03d}.tsv").write_text(
+                f"generation\tbest_config\tert\tfce\n1\t{cfg}\tNA\t1.0\n")
+        return cache, str(out_dir)
+
+    def _rank(self, cache, out_dir, free, capsys):
+        return _run_cli(
+            ["report-rank", *BASE, "--runs", "2", "--seed", "0",
+             "--cache", cache, "--traces", out_dir, "--free", free],
+            capsys,
+        )
+
+    def test_report_rank_reads_without_executing(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        cache, out_dir = self._warm(tmp_path, capsys, ["01100000000"])
+        with open(cache, "rb") as fh:
+            before = fh.read()
+
+        def no_run(*args, **kwargs):
+            raise AssertionError("report-rank executed a run")
+
+        def no_call(self, cfg):
+            raise AssertionError("report-rank called the evaluator")
+
+        monkeypatch.setattr(evaluation, "run", no_run)
+        monkeypatch.setattr(CachedEvaluator, "__call__", no_call)
+        code, out, err = self._rank(cache, out_dir, "1,2,3", capsys)
+        assert (code, err) == (0, "")
+        assert "rank\t" in out
+        with open(cache, "rb") as fh:
+            assert fh.read() == before
+
+    def test_report_rank_uses_cached_ga_best_outside_space(
+        self, tmp_path, capsys
+    ):
+        # The GA searched genes 1-3; the ranking space is genes 1-2 only.
+        cache, out_dir = self._warm(tmp_path, capsys, ["01100000000"])
+        code, out, err = self._rank(cache, out_dir, "1,2", capsys)
+        assert (code, err) == (0, "")
+        ev = CachedEvaluator(make_problem("sphere", 2), ResultsCache(cache),
+                             n_runs=2, base_seed=0)
+        best = ev.cached("01100000000")
+        bf = [ev.cached(c) for c in
+              ("00000000000", "10000000000", "01000000000", "11000000000")]
+        fields = dict(line.split("\t") for line in out.splitlines()[:3])
+        assert fields["ga_aggregate_fce"] == repr(best.fce)
+        rank = rank_aggregate([(s.ert, s.fce) for s in bf], (best.ert, best.fce))
+        assert fields["rank"] == str(rank)
+
+    def test_report_rank_refuses_uncached_ga_best(self, tmp_path, capsys):
+        cache, out_dir = self._warm(
+            tmp_path, capsys, ["01100000000", "00010000000"])
+        size = os.path.getsize(cache)
+        code, out, err = self._rank(cache, out_dir, "1,2,3", capsys)
+        assert (code, out) == (3, "")
+        assert err.startswith("cache incomplete: 1 ")
+        assert os.path.getsize(cache) == size
+
 
 class TestActivationReport:
     def test_fifty_percent_single_module(self):
@@ -403,6 +476,13 @@ class TestConvergenceReport:
         assert lines[0] == "generation\tmean_ert\tmean_fce"
         assert lines[1].startswith("1\tNA\t")
 
+    def test_missing_traces_directory(self, tmp_path, capsys):
+        code, out, err = _run_cli(
+            ["report-convergence", "--traces", str(tmp_path / "nope")], capsys
+        )
+        assert (code, out) == (3, "")
+        assert "no trace files found" in err
+
 
 class TestSuiteCommand:
     def test_manifest_emitted(self, capsys):
@@ -468,10 +548,32 @@ class TestCachedEvaluator:
         assert calls == {"summarize": 1, "missing_seeds": 1}
         assert ev.runs_executed == 0
 
-        by_seed = ResultsCache(path).by_key()[("01000000000", "sphere", 2)]
+        by_seed = {r.seed: r for r in ResultsCache(path).records()}
         fresh = summarize([by_seed[s] for s in (5, 6, 7)])
         for f in dataclasses.fields(fresh):
             assert getattr(first, f.name) == getattr(fresh, f.name), f.name
         assert isinstance(first.runs, tuple)
         with pytest.raises(dataclasses.FrozenInstanceError):
             first.fce = 0.0
+
+    def test_serves_only_its_own_problem_from_a_shared_cache(self, tmp_path):
+        def rec(fid, dim, cfg, seed, err):
+            return RunRecord(config=cfg, function_id=fid, dimension=dim,
+                             seed=seed, evaluations_used=100,
+                             best_error=err, hit_index=None)
+
+        own = [rec("sphere", 2, "00000000000", s, 1.0 + s) for s in (0, 1)]
+        others = [
+            rec(fid, dim, cfg, s, 9.0)
+            for fid, dim in (("sphere", 3), ("rastrigin_separable", 2))
+            for cfg in ("00000000000", "10000000000")
+            for s in (0, 1)
+        ]
+        cache = ResultsCache(str(tmp_path / "c.tsv"))
+        cache.append(own + others)
+        ev = CachedEvaluator(make_problem("sphere", 2), cache, n_runs=2)
+        assert list(ev.cached("00000000000").runs) == own
+        assert ev.cached("10000000000") is None
+        assert ev.missing_seeds("10000000000") == [0, 1]
+        assert ev("00000000000") is ev.cached("00000000000")
+        assert ev.runs_executed == 0

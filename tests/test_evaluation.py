@@ -368,11 +368,3 @@ class TestResultsCache:
         cache.append([_rec(100, 100, seed=1)])
         assert [r.seed for r in cache.records()] == [1]
         assert path.read_text() == ResultsCache.format_record(_rec(100, 100, seed=1))
-
-    def test_by_key_index(self, tmp_path):
-        cache = ResultsCache(str(tmp_path / "cache.tsv"))
-        cache.append([_rec(100, 100, seed=0), _rec(200, None, seed=1)])
-        table = cache.by_key()
-        key = ("00000000000", "sphere", 2)
-        assert set(table[key]) == {0, 1}
-        assert cache.seeds_present(*key) == {0, 1}
