@@ -517,6 +517,50 @@ class TestRun:
         rec = run("00000000002", p, budget=6000, seed=1, target=0.0)
         assert rec.restarts >= 2
 
+    # (config, function, budget, seed) -> (lambda of every local run,
+    # restarts, evaluations used, hit). A local run cut short by the
+    # budget or the target still counts as a restart.
+    @pytest.mark.parametrize(
+        "case, expected",
+        [
+            # no restarts: a local stop, then the budget, ends the run
+            (("00000000000", "rastrigin_separable", 2000, 0), ([6], 0, 552, False)),
+            (("00000000000", "sphere", 300, 1), ([6], 0, 300, False)),
+            # IPOP, budget spent inside the third restart
+            (("00000000001", "rastrigin_separable", 2000, 0),
+             ([6, 12, 24, 48], 3, 2000, False)),
+            # BIPOP, target hit inside the third restart
+            (("00000000002", "rastrigin_separable", 2000, 0),
+             ([6, 12, 6, 6], 3, 1413, True)),
+            (("00000000002", "rastrigin_rotated", 2000, 1),
+             ([6, 12, 6, 6, 6, 24], 5, 2000, False)),
+            # BIPOP small run drawn above the default lambda
+            (("00000000102", "rastrigin_separable", 2000, 1),
+             ([6, 12, 6, 24, 9], 4, 2000, False)),
+            # sequential + TPA + pairwise; the last lambda is capped by the budget
+            (("00001011002", "rastrigin_separable", 2000, 1),
+             ([6, 12, 6, 4], 3, 2000, False)),
+            # threshold convergence under BIPOP, target inside a restart
+            (("00000100002", "sphere", 2000, 0),
+             ([6, 12, 6, 6, 24, 7, 6], 6, 1579, True)),
+            # threshold + TPA + pairwise under IPOP, target inside a restart
+            (("00000111001", "rastrigin_separable", 2000, 0),
+             ([6, 12, 24], 2, 1997, True)),
+        ],
+    )
+    def test_restart_schedule_pinned(self, monkeypatch, case, expected):
+        config, function, budget, seed = case
+        lambdas = []
+        init = StrategyParams.__init__
+
+        def spy(self, *args, **kwargs):
+            lambdas.append(kwargs["lambda_"])
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(StrategyParams, "__init__", spy)
+        rec = run(config, make_problem(function, 2), budget=budget, seed=seed)
+        assert (lambdas, rec.restarts, rec.evaluations_used, rec.success) == expected
+
     def test_nonfinite_objective_treated_as_inf(self):
         class NastyProblem:
             dimension = 2
