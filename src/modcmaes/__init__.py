@@ -18,7 +18,6 @@ from .configuration import (
 )
 from .sampling import Sampler, SamplerSpec, gaussian_transform, quasi_uniform
 from .core import (
-    RestartCriteria,
     RunRecord,
     StrategyParams,
     apply_threshold,
@@ -52,7 +51,6 @@ __all__ = [
     "SamplerSpec",
     "gaussian_transform",
     "quasi_uniform",
-    "RestartCriteria",
     "RunRecord",
     "StrategyParams",
     "apply_threshold",

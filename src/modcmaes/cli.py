@@ -70,15 +70,8 @@ def _fmt(value: float | None) -> str:
     return "NA" if value is None else repr(float(value))
 
 
-def _parse_free(spec: str | None) -> dict[int, int] | None:
-    """Translate ``--free 1,2,3`` (1-based genes) into a frozen map."""
-    if spec is None:
-        return None
-    free = {int(tok) - 1 for tok in spec.split(",") if tok.strip()}
-    for idx in free:
-        if not 0 <= idx < 11:
-            raise ValueError("--free gene positions must be in 1..11")
-    return {i: 0 for i in range(11) if i not in free}
+class _BadInput(ValueError):
+    """A malformed input file; the message names the file and line."""
 
 
 class CachedEvaluator:
@@ -191,10 +184,9 @@ def cmd_run(args, out=None) -> int:
 
 def cmd_bruteforce(args, out=None) -> int:
     out = out or sys.stdout
-    frozen = _parse_free(args.free)
     executed = swept = 0
     with _open_evaluator(args) as evaluator:
-        for cfg in enumerate_all(frozen=frozen):
+        for cfg in enumerate_all(frozen=args.free):
             cfg_str = encode(cfg)
             swept += 1
             if evaluator.missing_seeds(cfg_str):
@@ -208,7 +200,6 @@ def cmd_bruteforce(args, out=None) -> int:
 
 def cmd_ga(args, out=None) -> int:
     out = out or sys.stdout
-    frozen = _parse_free(args.free)
     os.makedirs(args.out, exist_ok=True)
     print(
         "run\tga_seed\tfunction_id\tdimension\tbest_config\tert\tfce",
@@ -223,7 +214,7 @@ def cmd_ga(args, out=None) -> int:
                 budget=args.ga_budget,
                 lambda_=args.ga_lambda,
                 seed=ga_seed,
-                frozen=frozen,
+                frozen=args.free,
             )
             if trace.failures:
                 print(f"ga run {i}: {trace.failures} of {trace.evaluations} "
@@ -282,19 +273,23 @@ def _aggregate_fitness(
 def _read_trace(path: str) -> GARunTrace:
     trace = GARunTrace()
     with open(path, encoding="utf-8") as fh:
-        header = fh.readline()
-        if not header.startswith("generation"):
-            raise ValueError(f"{path} is not a trace file")
-        for line in fh:
-            gen, cfg, ert, fce = line.rstrip("\n").split("\t")
-            trace.entries.append(
-                TraceEntry(
+        if not fh.readline().startswith("generation"):
+            raise _BadInput(f"{path}:1: not a trace file header")
+        for lineno, line in enumerate(fh, start=2):
+            try:
+                gen, cfg, ert, fce = line.rstrip("\n").split("\t")
+                entry = TraceEntry(
                     generation=int(gen),
                     best_config=cfg,
                     ert=None if ert == "NA" else float(ert),
                     fce=float(fce),
                 )
-            )
+            except ValueError:
+                raise _BadInput(
+                    f"{path}:{lineno}: need generation, best_config, ert and "
+                    f"fce, tab-separated, got {line.rstrip()!r}"
+                ) from None
+            trace.entries.append(entry)
     return trace
 
 
@@ -317,9 +312,8 @@ def _incomplete(summaries: Sequence[FitnessSummary | None], what: str) -> bool:
 
 def report_rank(args, out=None) -> int:
     out = out or sys.stdout
-    frozen = _parse_free(args.free)
     with _open_evaluator(args) as evaluator:
-        bf = [evaluator.cached(encode(cfg)) for cfg in enumerate_all(frozen=frozen)]
+        bf = [evaluator.cached(encode(cfg)) for cfg in enumerate_all(frozen=args.free)]
         if _incomplete(bf, "configurations"):
             return 3
         traces = [_read_trace(p) for p in _trace_paths(args.traces)]
@@ -381,19 +375,23 @@ def cmd_report_activation(args, out=None) -> int:
             c_fid = header.index("function_id")
             c_dim = header.index("dimension")
         except ValueError:
-            print(
-                "winners file needs best_config, function_id and "
-                "dimension columns",
-                file=sys.stderr,
-            )
-            return 2
-        for line in fh:
+            raise _BadInput(
+                f"{args.winners}:1: winners file needs best_config, "
+                "function_id and dimension columns"
+            ) from None
+        for lineno, line in enumerate(fh, start=2):
             parts = line.rstrip("\n").split("\t")
-            cfg = decode(parts[c_cfg])
-            if args.group_by == "dimension":
-                label = parts[c_dim]
-            else:
-                label = benchmarks.subgroup_of(parts[c_fid])
+            where = f"{args.winners}:{lineno}"
+            if len(parts) < len(header):
+                raise _BadInput(f"{where}: {len(parts)} of {len(header)} fields")
+            try:
+                cfg = decode(parts[c_cfg])
+                if args.group_by == "dimension":
+                    label = parts[c_dim]
+                else:
+                    label = benchmarks.subgroup_of(parts[c_fid])
+            except (ConfigError, KeyError) as exc:
+                raise _BadInput(f"{where}: bad config or function: {exc}") from None
             winners.append((cfg, label))
     try:
         table = report_activation(winners)
@@ -448,7 +446,19 @@ def positive_int(text: str) -> int:
     return value
 
 
-def _add_common(p: argparse.ArgumentParser, cache_required: bool = True):
+def free_genes(text: str) -> dict[int, int]:
+    """argparse type for ``--free 1,2,3``: the 1-based free genes become
+    the frozen map that pins every other gene to 0."""
+    tokens = [tok.strip() for tok in text.split(",") if tok.strip()]
+    if not all(tok.isdecimal() and 1 <= int(tok) <= 11 for tok in tokens):
+        raise argparse.ArgumentTypeError(
+            f"gene positions must be >= 1 and <= 11, got {text!r}"
+        )
+    free = {int(tok) - 1 for tok in tokens}
+    return {i: 0 for i in range(11) if i not in free}
+
+
+def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--function", required=True, choices=sorted(benchmarks.FUNCTIONS))
     p.add_argument("--dim", type=int, required=True, choices=benchmarks.DIMENSIONS)
     p.add_argument("--runs", type=positive_int, default=32)
@@ -456,8 +466,8 @@ def _add_common(p: argparse.ArgumentParser, cache_required: bool = True):
                    help="evaluations per run (default 1000*dim)")
     p.add_argument("--target", type=float, default=None)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--cache", required=cache_required)
+    p.add_argument("--jobs", type=positive_int, default=1)
+    p.add_argument("--cache", required=True)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -474,7 +484,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bruteforce", help="sweep a configuration space")
     _add_common(p)
-    p.add_argument("--free", default=None,
+    p.add_argument("--free", type=free_genes, default=None,
                    help="comma list of free 1-based gene positions; "
                         "others frozen to 0")
     p.set_defaults(func=cmd_bruteforce)
@@ -485,13 +495,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ga-budget", type=positive_int, default=240)
     p.add_argument("--ga-lambda", type=positive_int, default=12)
     p.add_argument("--out", required=True, help="directory for trace files")
-    p.add_argument("--free", default=None)
+    p.add_argument("--free", type=free_genes, default=None)
     p.set_defaults(func=cmd_ga)
 
     p = sub.add_parser("report-rank", help="rank GA aggregate among brute force")
     _add_common(p)
     p.add_argument("--traces", required=True)
-    p.add_argument("--free", default=None)
+    p.add_argument("--free", type=free_genes, default=None)
     p.set_defaults(func=report_rank)
 
     p = sub.add_parser("report-activation", help="module activation table")
@@ -513,7 +523,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except _BadInput as exc:
+        print(exc, file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -1,11 +1,16 @@
 """The configurable evolution strategy engine.
 
-One :func:`run` executes a nested loop: an outer restart loop (optional
-IPOP/BIPOP population schedules) around an inner generation loop of
-mutation, evaluation (with optional sequential early stopping),
-selection, recombination, and strategy-parameter adaptation. All eleven
-switchable mechanisms are driven by a
+One :func:`run` executes a nested loop: an outer restart loop around an
+inner generation loop of mutation, evaluation (with optional sequential
+early stopping), selection, recombination, and strategy-parameter
+adaptation. All eleven switchable mechanisms are driven by a
 :class:`~modcmaes.configuration.ConfigurationVector`.
+
+A local run stops on the fixed thresholds below, or after no gain for
+ceil(10 + 30 D / lambda) generations. Restart k uses lambda0 * 2**k under
+IPOP (lambda0 = 4 + floor(3 ln D)); BIPOP doubles its largest lambda while
+large runs have used no more evaluations than small ones, the first run
+counting for neither, else it draws lambda0 * (lambda_large/(2 lambda0))**(u*u).
 
 A generation is carried as arrays, one row per offspring: ``Z`` holds
 the raw samples (lambda_eff, D) from the sampler, ``Y`` the scaled
@@ -28,8 +33,6 @@ from .sampling import Sampler, SamplerSpec
 
 __all__ = [
     "StrategyParams",
-    "RestartState",
-    "RestartCriteria",
     "RunRecord",
     "SelectionShortfallError",
     "ZeroMutationError",
@@ -50,6 +53,11 @@ __all__ = [
 # smoothing rate of the probe signal.
 ALPHA_TPA = 0.5
 C_ALPHA = 0.3
+
+# Local stop thresholds: cond(C), sigma * sqrt(max eig C) / sigma0, gain.
+CONDITION_LIMIT = 1e14
+TOL_SIGMA = 1e-12
+TOL_IMPROVEMENT = 1e-12
 
 
 class SelectionShortfallError(RuntimeError):
@@ -202,22 +210,6 @@ def _symmetrize(C: np.ndarray, triu_mask: np.ndarray) -> np.ndarray:
     return np.where(triu_mask, C, C.T) + 0.0
 
 
-@dataclass
-class RestartCriteria:
-    """Thresholds of the local stop tests; all configurable."""
-
-    condition_limit: float = 1e14
-    tol_sigma: float = 1e-12
-    tol_improvement: float = 1e-12
-    stagnation_base: int = 10
-    stagnation_scale: float = 30.0
-
-    def stagnation_window(self, dimension: int, lambda_: int) -> int:
-        return math.ceil(
-            self.stagnation_base + self.stagnation_scale * dimension / lambda_
-        )
-
-
 class StrategyParams:
     """All endogenous state of one local ES run.
 
@@ -229,21 +221,16 @@ class StrategyParams:
         self,
         dimension: int,
         cfg: ConfigurationVector,
-        lambda_: int | None = None,
-        lower: np.ndarray | None = None,
-        upper: np.ndarray | None = None,
-        mean: np.ndarray | None = None,
-        sampler_seed: int | None = None,
-        criteria: RestartCriteria | None = None,
+        lambda_: int,
+        lower: np.ndarray,
+        upper: np.ndarray,
+        mean: np.ndarray,
+        sampler_seed: int,
     ):
         d = dimension
         self.dimension = d
-        self.lower = np.full(d, -5.0) if lower is None else np.asarray(lower, float)
-        self.upper = np.full(d, 5.0) if upper is None else np.asarray(upper, float)
-
-        lam = lambda_ if lambda_ is not None else default_lambda(d)
         self.lambda_, self.mu, self.lambda_eff, self.seq_cutoff = (
-            resolve_interactions(cfg, lam, lam // 2)
+            resolve_interactions(cfg, lambda_, lambda_ // 2)
         )
 
         self.weights = recombination_weights(self.mu, cfg.weights_option)
@@ -263,12 +250,10 @@ class StrategyParams:
         self.beta_active = (4.0 * m - 2.0) / ((d + 12.0) ** 2 + 4.0 * m)
         self.chi_n = math.sqrt(d) * (1.0 - 1.0 / (4.0 * d) + 1.0 / (21.0 * d * d))
 
-        width = float(self.upper[0] - self.lower[0])
-        self.sigma0 = 0.2 * width
+        span = np.asarray(upper, dtype=float) - np.asarray(lower, dtype=float)
+        self.sigma0 = 0.2 * float(span[0])
         self.sigma = self.sigma0
-        self.mean = (
-            np.zeros(d) if mean is None else np.asarray(mean, dtype=float).copy()
-        )
+        self.mean = np.array(mean, dtype=float)
 
         self.C = np.eye(d)
         self.B = np.eye(d)
@@ -283,8 +268,7 @@ class StrategyParams:
         self.parents: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
         self.triu_mask = np.triu(np.ones((d, d), dtype=bool))
 
-        self.criteria = criteria or RestartCriteria()
-        self.diameter = float(np.linalg.norm(self.upper - self.lower))
+        self.diameter = float(np.linalg.norm(span))
         self.threshold = 0.2 * self.diameter
 
         self.sampler = Sampler(
@@ -300,7 +284,6 @@ class StrategyParams:
         # Local-run stop bookkeeping.
         self.best_f = math.inf
         self.last_improvement_gen = 0
-        self.stop_reason: str | None = None
 
     def update_threshold(self, used: int, budget: int) -> None:
         remaining = max(budget - used, 0) / budget
@@ -397,52 +380,6 @@ def adapt(
 
 
 @dataclass
-class RestartState:
-    """Outer-loop bookkeeping across local restarts."""
-
-    regime: str
-    lambda_default: int
-    restarts_done: int = 0
-    lambda_large: int = 0
-    budget_large: int = 0
-    budget_small: int = 0
-    current: str = "initial"
-
-    def __post_init__(self):
-        self.lambda_large = max(self.lambda_large, self.lambda_default)
-
-    def next_lambda(self, rng: np.random.Generator) -> int:
-        """Population size for the upcoming local run."""
-        if self.restarts_done == 0:
-            self.current = "initial"
-            return self.lambda_default
-        if self.regime == "ipop":
-            self.current = "large"
-            return self.lambda_default * 2**self.restarts_done
-        if self.regime == "bipop":
-            if self.budget_large <= self.budget_small:
-                self.current = "large"
-                self.lambda_large *= 2
-                return self.lambda_large
-            self.current = "small"
-            u = rng.uniform()
-            lam = int(
-                self.lambda_default
-                * (self.lambda_large / (2.0 * self.lambda_default)) ** (u * u)
-            )
-            return max(self.lambda_default, lam)
-        self.current = "none"
-        return self.lambda_default
-
-    def note_finished(self, consumed: int) -> None:
-        if self.current == "large":
-            self.budget_large += consumed
-        elif self.current == "small":
-            self.budget_small += consumed
-        self.restarts_done += 1
-
-
-@dataclass
 class RunRecord:
     """Outcome of one seeded ES run on one problem."""
 
@@ -494,18 +431,16 @@ class _Accountant:
 def _local_stop(params: StrategyParams, gen_best: float) -> str | None:
     """Check the local restart criteria after a completed generation."""
     p = params
-    crit = p.criteria
-    if gen_best < p.best_f - crit.tol_improvement:
+    if gen_best < p.best_f - TOL_IMPROVEMENT:
         p.best_f = min(p.best_f, gen_best)
         p.last_improvement_gen = p.t
     elif gen_best < p.best_f:
         p.best_f = gen_best
-    window = crit.stagnation_window(p.dimension, p.lambda_)
-    if p.t - p.last_improvement_gen >= window:
+    if p.t - p.last_improvement_gen >= math.ceil(10 + 30.0 * p.dimension / p.lambda_):
         return "stagnation"
-    if p.eig_vals[-1] / max(p.eig_vals[0], 1e-300) > crit.condition_limit:
+    if p.eig_vals[-1] / max(p.eig_vals[0], 1e-300) > CONDITION_LIMIT:
         return "condition"
-    if p.sigma * math.sqrt(p.eig_vals[-1]) < crit.tol_sigma * p.sigma0:
+    if p.sigma * math.sqrt(p.eig_vals[-1]) < TOL_SIGMA * p.sigma0:
         return "tol_sigma"
     axis = p.t % p.dimension
     probe = 0.1 * p.sigma * p.d_sqrt[axis] * p.B[:, axis]
@@ -539,8 +474,8 @@ def _run_local(
     acct: _Accountant,
     budget: int,
     generation_best: list[float] | None,
-) -> None:
-    """Inner generation loop; returns when a local stop criterion fires."""
+) -> str:
+    """Inner generation loop; returns the local stop criterion that fired."""
     while True:
         if cfg.threshold:
             params.update_threshold(acct.used, budget)
@@ -579,8 +514,7 @@ def _run_local(
 
         reason = _local_stop(params, float(f.min()))
         if reason is not None:
-            params.stop_reason = reason
-            return
+            return reason
 
 
 def run(
@@ -589,7 +523,6 @@ def run(
     budget: int,
     seed: int,
     target: float | None = None,
-    criteria: RestartCriteria | None = None,
     record_trajectory: bool = False,
     record_generations: bool = False,
 ) -> RunRecord:
@@ -608,17 +541,28 @@ def run(
         target = getattr(problem, "target_precision", 1e-8)
     rng = np.random.default_rng(seed)
     acct = _Accountant(problem, budget, target, record_trajectory)
-    restart = RestartState(regime=cfg.restart_regime, lambda_default=default_lambda(d))
     generation_best: list[float] | None = [] if record_generations else None
 
+    lam0 = default_lambda(d)
+    # BIPOP: the largest lambda, evaluations spent in large and small runs.
+    lam_large, used_large, used_small = lam0, 0, 0
     starts = 0
     try:
         while True:
-            lam = restart.next_lambda(rng)
+            small = False
+            if starts == 0 or cfg.restart_regime == "ipop":
+                lam = lam0 * 2**starts
+            elif used_large <= used_small:
+                lam_large *= 2
+                lam = lam_large
+            else:
+                small = True
+                u = rng.uniform()
+                lam = max(lam0, int(lam0 * (lam_large / (2.0 * lam0)) ** (u * u)))
             # A population larger than the remaining budget cannot
             # finish a generation; cap it so schedules never balloon.
             lam = max(4, min(lam, budget - acct.used + 2))
-            consumed_before = acct.used
+            used_before = acct.used
             params = StrategyParams(
                 dimension=d,
                 cfg=cfg,
@@ -627,13 +571,16 @@ def run(
                 upper=problem.upper,
                 mean=rng.uniform(problem.lower, problem.upper),
                 sampler_seed=int(rng.integers(2**63)),
-                criteria=criteria,
             )
+            # Counted before the local run, which may end the whole run.
             starts += 1
             _run_local(cfg, params, acct, budget, generation_best)
-            restart.note_finished(acct.used - consumed_before)
             if cfg.restart_regime == "none":
                 break
+            if small:
+                used_small += acct.used - used_before
+            elif starts > 1:
+                used_large += acct.used - used_before
     except _RunOver:
         pass
 
@@ -649,5 +596,5 @@ def run(
             np.array(acct.trajectory) if acct.trajectory is not None else None
         ),
         generation_best_f=generation_best,
-        restarts=max(starts - 1, 0),
+        restarts=starts - 1,
     )

@@ -347,16 +347,6 @@ class ResultsCache:
     read runs back through ``cli.CachedEvaluator``'s index.
     """
 
-    COLUMNS = (
-        "config",
-        "function_id",
-        "dimension",
-        "seed",
-        "evaluations_used",
-        "best_error",
-        "hit_index",
-    )
-
     def __init__(self, path: str):
         self.path = path
 

@@ -35,6 +35,12 @@ BASE = ["--function", "sphere", "--dim", "2", "--budget", "400"]
     ["ga", "--budget", "400", "--ga-budget", "0", "--out", "traces"],
     ["run", "--config", "00000000000", "--runs", "0"],
     ["ga", "--budget", "400", "--ga-lambda", "0", "--out", "traces"],
+    ["bruteforce", "--free", "12"],
+    ["bruteforce", "--free", "a"],
+    ["run", "--config", "00000000000", "--runs", "1", "--budget", "1",
+     "--jobs", "0"],
+    ["bruteforce", "--free", "1", "--runs", "1", "--budget", "1",
+     "--jobs", "-3"],
 ])
 def test_budget_below_one_rejected(argv, tmp_path, capsys):
     cache = str(tmp_path / "cache.tsv")
@@ -367,6 +373,15 @@ class TestRankReport:
         rank = rank_aggregate([(s.ert, s.fce) for s in bf], (best.ert, best.fce))
         assert fields["rank"] == str(rank)
 
+    def test_report_rank_rejects_malformed_trace(self, tmp_path, capsys):
+        cache, out_dir = self._warm(tmp_path, capsys, ["01100000000"])
+        path = os.path.join(out_dir, "trace_000.tsv")
+        with open(path, "a") as fh:
+            fh.write("2\t01100000000\tNA\n")
+        code, out, err = self._rank(cache, out_dir, "1,2,3", capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"{path}:3: ") and err.count("\n") == 1
+
     def test_report_rank_refuses_uncached_ga_best(self, tmp_path, capsys):
         cache, out_dir = self._warm(
             tmp_path, capsys, ["01100000000", "00010000000"])
@@ -413,6 +428,24 @@ class TestActivationReport:
     def test_empty_winners_rejected(self):
         with pytest.raises(ValueError):
             report_activation([])
+
+    @pytest.mark.parametrize("row", [
+        "0\t0\tsphere\t2\t0000000000X\tNA\t1.0",
+        "0\t0\tsphere\t2\t000\tNA\t1.0",
+        "0\t0\tsphere",
+    ], ids=["bad-gene", "short-config", "short-row"])
+    def test_cli_malformed_row_names_file_and_line(self, tmp_path, capsys, row):
+        winners = tmp_path / "winners.tsv"
+        winners.write_text(
+            "run\tga_seed\tfunction_id\tdimension\tbest_config\tert\tfce\n"
+            "0\t0\tsphere\t2\t10000000000\tNA\t1.0\n"
+            f"{row}\n"
+        )
+        code, out, err = _run_cli(
+            ["report-activation", "--winners", str(winners)], capsys
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith(f"{winners}:3: ") and err.count("\n") == 1
 
     def test_cli_group_by_dimension(self, tmp_path, capsys):
         winners = tmp_path / "winners.tsv"
@@ -475,6 +508,24 @@ class TestConvergenceReport:
         lines = out.strip().split("\n")
         assert lines[0] == "generation\tmean_ert\tmean_fce"
         assert lines[1].startswith("1\tNA\t")
+
+    @pytest.mark.parametrize("text, line", [
+        ("gen\tconfig\n1\t00000000000\tNA\t1.0\n", 1),
+        ("generation\tbest_config\tert\tfce\n1\t00000000000\tNA\n", 2),
+        ("generation\tbest_config\tert\tfce\n1\t00000000000\tNA\tx\n", 2),
+        ("generation\tbest_config\tert\tfce\n1\t00000000000\tNA\t1.0\n"
+         "two\t00000000000\tNA\t1.0\n", 3),
+    ], ids=["header", "three-fields", "non-numeric-fce", "non-numeric-generation"])
+    def test_malformed_trace_names_file_and_line(
+        self, tmp_path, capsys, text, line
+    ):
+        path = tmp_path / "trace_000.tsv"
+        path.write_text(text)
+        code, out, err = _run_cli(
+            ["report-convergence", "--traces", str(tmp_path)], capsys
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith(f"{path}:{line}: ") and err.count("\n") == 1
 
     def test_missing_traces_directory(self, tmp_path, capsys):
         code, out, err = _run_cli(

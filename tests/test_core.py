@@ -6,7 +6,6 @@ import pytest
 from modcmaes.benchmarks import make_problem
 from modcmaes.configuration import decode, enumerate_all
 from modcmaes.core import (
-    RestartCriteria,
     SelectionShortfallError,
     StrategyParams,
     ZeroMutationError,
@@ -313,6 +312,9 @@ def _fresh_params(cfg, dim=4, seed=123):
     return StrategyParams(
         dimension=dim,
         cfg=cfg,
+        lambda_=default_lambda(dim),
+        lower=np.full(dim, -5.0),
+        upper=np.full(dim, 5.0),
         mean=np.zeros(dim),
         sampler_seed=seed,
     )
@@ -580,9 +582,3 @@ class TestRun:
         p = make_problem("sphere", 2)
         rec = run("00000000000", p, budget=50, seed=0)
         assert rec.config == "00000000000"
-
-    def test_custom_restart_criteria(self):
-        p = make_problem("sphere", 2)
-        crit = RestartCriteria(stagnation_base=2, stagnation_scale=0.0)
-        rec = run(DEFAULT, p, budget=5000, seed=0, target=0.0, criteria=crit)
-        assert rec.evaluations_used < 5000
