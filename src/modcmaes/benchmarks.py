@@ -4,7 +4,8 @@ A representative ten-function suite standing in for the usual noiseless
 benchmark collection: every function is minimized, shifted to a seeded
 optimum ``x_opt`` with value offset ``f_opt``, optionally rotated, and
 reported as error ``f(x) - f_opt`` against a target precision of 1e-8
-inside the box [-5, 5]^D.
+inside the box [-5, 5]^D. Each (function, dimension) pair has one
+instance, seeded by a CRC of its name.
 """
 
 from __future__ import annotations
@@ -60,10 +61,7 @@ def _ellipsoid_coeff(d: int) -> np.ndarray:
 
 
 def _ellipsoid(z: np.ndarray, aux: dict) -> float:
-    d = len(z)
-    if d == 1:
-        return float(1e6 * z[0] ** 2)
-    return float(_ellipsoid_coeff(d) @ (z * z))
+    return float(_ellipsoid_coeff(len(z)) @ (z * z))
 
 
 def _rastrigin(z: np.ndarray, aux: dict) -> float:
@@ -173,10 +171,6 @@ class Problem:
     def upper(self) -> np.ndarray:
         return np.full(self.dimension, UPPER)
 
-    def evaluate(self, x: np.ndarray) -> float:
-        """Raw function value at ``x`` (already includes ``f_opt``)."""
-        return self.error(x) + self.f_opt
-
     def error(self, x: np.ndarray) -> float:
         """Nonnegative optimality gap ``f(x) - f_opt``."""
         x = np.asarray(x, dtype=float)
@@ -188,14 +182,12 @@ class Problem:
         return FUNCTIONS[self.function_id].raw(z, self.aux)
 
 
-def make_problem(
-    function_id: str, dimension: int, seed: int | None = None
-) -> Problem:
-    """Instantiate one problem; ``seed=None`` derives a stable default.
+def make_problem(function_id: str, dimension: int) -> Problem:
+    """Instantiate one problem from its instance seed.
 
-    The default instance seed is a CRC of ``"<function>/<dim>"`` so that
-    every process asking for, say, sphere in 5-D gets the identical
-    shifted instance.
+    The instance seed is a CRC of ``"<function>/<dim>"`` so that every
+    process asking for, say, sphere in 5-D gets the identical shifted
+    instance.
     """
     if function_id not in FUNCTIONS:
         raise KeyError(
@@ -203,8 +195,7 @@ def make_problem(
         )
     if dimension not in DIMENSIONS:
         raise ValueError(f"dimension must be one of {DIMENSIONS}")
-    if seed is None:
-        seed = zlib.crc32(f"{function_id}/{dimension}".encode())
+    seed = zlib.crc32(f"{function_id}/{dimension}".encode())
     fdef = FUNCTIONS[function_id]
     rng = np.random.default_rng(seed)
     x_opt = rng.uniform(-4.0, 4.0, size=dimension)
@@ -225,13 +216,9 @@ def make_problem(
     )
 
 
-def make_suite(seed: int = 0) -> list[Problem]:
-    """All ten functions in all five dimensions, seeded per problem."""
-    suite = []
-    for fid in FUNCTIONS:
-        for dim in DIMENSIONS:
-            suite.append(make_problem(fid, dim, seed=seed * 100003 + zlib.crc32(f"{fid}/{dim}".encode())))
-    return suite
+def make_suite() -> list[Problem]:
+    """All ten functions in all five dimensions."""
+    return [make_problem(fid, dim) for fid in FUNCTIONS for dim in DIMENSIONS]
 
 
 def suite_manifest(suite: list[Problem]) -> str:

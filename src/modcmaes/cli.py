@@ -33,9 +33,11 @@ from .configuration import (
 from .core import RunRecord
 from .evaluation import (
     FitnessSummary,
+    MalformedInputError,
     ResultsCache,
     compare_fitness,
     execute_runs,
+    format_float,
     run_map,
     summarize,
 )
@@ -64,14 +66,6 @@ RANK_BUCKETS = (
     ("10-17", 17),
     ("18+", None),
 )
-
-
-def _fmt(value: float | None) -> str:
-    return "NA" if value is None else repr(float(value))
-
-
-class _BadInput(ValueError):
-    """A malformed input file; the message names the file and line."""
 
 
 class CachedEvaluator:
@@ -161,7 +155,8 @@ def _open_evaluator(args) -> Iterator[CachedEvaluator]:
 def _summary_line(s: FitnessSummary) -> str:
     return (
         f"{s.config}\t{s.function_id}\t{s.dimension}\t{s.n}\t"
-        f"{_fmt(s.ert)}\t{_fmt(s.fce)}\t{_fmt(s.std_error)}"
+        f"{format_float(s.ert)}\t{format_float(s.fce)}\t"
+        f"{format_float(s.std_error)}"
     )
 
 
@@ -170,13 +165,8 @@ SUMMARY_HEADER = "config\tfunction_id\tdimension\tn\tert\tfce\tstd_error"
 
 def cmd_run(args, out=None) -> int:
     out = out or sys.stdout
-    try:
-        cfg = decode(args.config)
-    except ConfigError as exc:
-        print(f"invalid configuration string: {exc}", file=sys.stderr)
-        return 2
     with _open_evaluator(args) as evaluator:
-        summary = evaluator(cfg)
+        summary = evaluator(args.config)
     print(SUMMARY_HEADER, file=out)
     print(_summary_line(summary), file=out)
     return 0
@@ -186,7 +176,7 @@ def cmd_bruteforce(args, out=None) -> int:
     out = out or sys.stdout
     executed = swept = 0
     with _open_evaluator(args) as evaluator:
-        for cfg in enumerate_all(frozen=args.free):
+        for cfg in enumerate_all(args.free):
             cfg_str = encode(cfg)
             swept += 1
             if evaluator.missing_seeds(cfg_str):
@@ -214,7 +204,7 @@ def cmd_ga(args, out=None) -> int:
                 budget=args.ga_budget,
                 lambda_=args.ga_lambda,
                 seed=ga_seed,
-                frozen=args.free,
+                free=args.free,
             )
             if trace.failures:
                 print(f"ga run {i}: {trace.failures} of {trace.evaluations} "
@@ -226,7 +216,8 @@ def cmd_ga(args, out=None) -> int:
             last = trace.entries[-1]
             print(
                 f"{i}\t{ga_seed}\t{problem.function_id}\t{problem.dimension}\t"
-                f"{last.best_config}\t{_fmt(last.ert)}\t{_fmt(last.fce)}",
+                f"{last.best_config}\t{format_float(last.ert)}\t"
+                f"{format_float(last.fce)}",
                 file=out,
             )
     return 0
@@ -274,10 +265,12 @@ def _read_trace(path: str) -> GARunTrace:
     trace = GARunTrace()
     with open(path, encoding="utf-8") as fh:
         if not fh.readline().startswith("generation"):
-            raise _BadInput(f"{path}:1: not a trace file header")
+            raise MalformedInputError(f"{path}:1: not a trace file header")
         for lineno, line in enumerate(fh, start=2):
             try:
                 gen, cfg, ert, fce = line.rstrip("\n").split("\t")
+                if not trace.entries or cfg != trace.best_config:
+                    decode(cfg)  # the best-so-far mostly repeats
                 entry = TraceEntry(
                     generation=int(gen),
                     best_config=cfg,
@@ -285,9 +278,9 @@ def _read_trace(path: str) -> GARunTrace:
                     fce=float(fce),
                 )
             except ValueError:
-                raise _BadInput(
-                    f"{path}:{lineno}: need generation, best_config, ert and "
-                    f"fce, tab-separated, got {line.rstrip()!r}"
+                raise MalformedInputError(
+                    f"{path}:{lineno}: need generation, a valid best_config, "
+                    f"ert and fce, tab-separated, got {line.rstrip()!r}"
                 ) from None
             trace.entries.append(entry)
     return trace
@@ -313,7 +306,7 @@ def _incomplete(summaries: Sequence[FitnessSummary | None], what: str) -> bool:
 def report_rank(args, out=None) -> int:
     out = out or sys.stdout
     with _open_evaluator(args) as evaluator:
-        bf = [evaluator.cached(encode(cfg)) for cfg in enumerate_all(frozen=args.free)]
+        bf = [evaluator.cached(encode(cfg)) for cfg in enumerate_all(args.free)]
         if _incomplete(bf, "configurations"):
             return 3
         traces = [_read_trace(p) for p in _trace_paths(args.traces)]
@@ -326,8 +319,8 @@ def report_rank(args, out=None) -> int:
     ga_fit = _aggregate_fitness(ga_summaries)
     rank = rank_aggregate([(s.ert, s.fce) for s in bf], ga_fit)
 
-    print(f"ga_aggregate_ert\t{_fmt(ga_fit[0])}", file=out)
-    print(f"ga_aggregate_fce\t{_fmt(ga_fit[1])}", file=out)
+    print(f"ga_aggregate_ert\t{format_float(ga_fit[0])}", file=out)
+    print(f"ga_aggregate_fce\t{format_float(ga_fit[1])}", file=out)
     print(f"rank\t{rank}", file=out)
     print("bucket\tcumulative_pct", file=out)
     for label, pct in rank_table([rank]):
@@ -375,7 +368,7 @@ def cmd_report_activation(args, out=None) -> int:
             c_fid = header.index("function_id")
             c_dim = header.index("dimension")
         except ValueError:
-            raise _BadInput(
+            raise MalformedInputError(
                 f"{args.winners}:1: winners file needs best_config, "
                 "function_id and dimension columns"
             ) from None
@@ -383,7 +376,8 @@ def cmd_report_activation(args, out=None) -> int:
             parts = line.rstrip("\n").split("\t")
             where = f"{args.winners}:{lineno}"
             if len(parts) < len(header):
-                raise _BadInput(f"{where}: {len(parts)} of {len(header)} fields")
+                raise MalformedInputError(
+                    f"{where}: {len(parts)} of {len(header)} fields")
             try:
                 cfg = decode(parts[c_cfg])
                 if args.group_by == "dimension":
@@ -391,7 +385,8 @@ def cmd_report_activation(args, out=None) -> int:
                 else:
                     label = benchmarks.subgroup_of(parts[c_fid])
             except (ConfigError, KeyError) as exc:
-                raise _BadInput(f"{where}: bad config or function: {exc}") from None
+                raise MalformedInputError(
+                    f"{where}: bad config or function: {exc}") from None
             winners.append((cfg, label))
     try:
         table = report_activation(winners)
@@ -427,14 +422,13 @@ def cmd_report_convergence(args, out=None) -> int:
         return 3
     print("generation\tmean_ert\tmean_fce", file=out)
     for gen, ert, fce in report_convergence(traces):
-        print(f"{gen}\t{_fmt(ert)}\t{_fmt(fce)}", file=out)
+        print(f"{gen}\t{format_float(ert)}\t{format_float(fce)}", file=out)
     return 0
 
 
 def cmd_suite(args, out=None) -> int:
     out = out or sys.stdout
-    suite = benchmarks.make_suite(args.seed)
-    out.write(benchmarks.suite_manifest(suite))
+    out.write(benchmarks.suite_manifest(benchmarks.make_suite()))
     return 0
 
 
@@ -446,16 +440,24 @@ def positive_int(text: str) -> int:
     return value
 
 
-def free_genes(text: str) -> dict[int, int]:
-    """argparse type for ``--free 1,2,3``: the 1-based free genes become
-    the frozen map that pins every other gene to 0."""
+def free_genes(text: str) -> set[int]:
+    """argparse type for ``--free 1,2,3``: the 1-based gene positions
+    become the set of 0-based free genes; every other gene is 0."""
     tokens = [tok.strip() for tok in text.split(",") if tok.strip()]
     if not all(tok.isdecimal() and 1 <= int(tok) <= 11 for tok in tokens):
         raise argparse.ArgumentTypeError(
             f"gene positions must be >= 1 and <= 11, got {text!r}"
         )
-    free = {int(tok) - 1 for tok in tokens}
-    return {i: 0 for i in range(11) if i not in free}
+    return {int(tok) - 1 for tok in tokens}
+
+
+def structure(text: str) -> ConfigurationVector:
+    """argparse type for ``--config``: an 11-digit structure string."""
+    try:
+        return decode(text)
+    except ConfigError as exc:
+        raise argparse.ArgumentTypeError(
+            f"invalid configuration string: {exc}") from None
 
 
 def _add_common(p: argparse.ArgumentParser):
@@ -478,7 +480,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("run", help="run one configuration n times")
-    p.add_argument("--config", required=True)
+    p.add_argument("--config", type=structure, required=True)
     _add_common(p)
     p.set_defaults(func=cmd_run)
 
@@ -486,12 +488,12 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--free", type=free_genes, default=None,
                    help="comma list of free 1-based gene positions; "
-                        "others frozen to 0")
+                        "every other gene is 0")
     p.set_defaults(func=cmd_bruteforce)
 
     p = sub.add_parser("ga", help="run the structure-search GA")
     _add_common(p)
-    p.add_argument("--ga-runs", type=int, default=30)
+    p.add_argument("--ga-runs", type=positive_int, default=30)
     p.add_argument("--ga-budget", type=positive_int, default=240)
     p.add_argument("--ga-lambda", type=positive_int, default=12)
     p.add_argument("--out", required=True, help="directory for trace files")
@@ -515,7 +517,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_report_convergence)
 
     p = sub.add_parser("suite", help="emit the benchmark suite manifest")
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_suite)
 
     return parser
@@ -525,7 +526,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except _BadInput as exc:
+    except MalformedInputError as exc:
         print(exc, file=sys.stderr)
         return 2
 

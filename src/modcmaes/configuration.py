@@ -4,14 +4,18 @@ Eleven independently switchable strategy modules are encoded as an
 11-gene integer vector. Nine modules are binary switches, two offer a
 third option, giving 2^9 * 3^2 = 4608 distinct structures. The textual
 form is the bare 11-digit string, e.g. ``"00000000000"`` for the plain
-CMA-ES and ``"11111111122"`` with everything switched on.
+CMA-ES and ``"11111111122"`` with everything switched on. A sub-space is
+named by its set of free genes (0-based indices); every other gene is 0,
+its module switched off, and ``None`` leaves all eleven free.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator, Mapping
+from typing import AbstractSet, Iterator
 
 import numpy as np
 
@@ -67,23 +71,13 @@ class ModuleCatalog:
 
     entries: tuple[ModuleDescriptor, ...]
 
-    def __post_init__(self):
-        if len(self.entries) != 11:
-            raise ValueError("catalog must have exactly 11 entries")
-        counts = [e.option_count for e in self.entries]
-        if counts[:9] != [2] * 9 or counts[9:] != [3, 3]:
-            raise ValueError("modules 1-9 are binary, modules 10-11 ternary")
-
     @cached_property
     def option_counts(self) -> tuple[int, ...]:
         return tuple(e.option_count for e in self.entries)
 
     @property
     def size(self) -> int:
-        n = 1
-        for c in self.option_counts:
-            n *= c
-        return n
+        return math.prod(self.option_counts)
 
 
 CATALOG = ModuleCatalog(
@@ -193,60 +187,43 @@ def encode(cfg: ConfigurationVector) -> str:
 
 
 def enumerate_all(
-    frozen: Mapping[int, int] | None = None,
+    free: AbstractSet[int] | None = None,
 ) -> Iterator[ConfigurationVector]:
-    """Yield every valid vector once, in lexicographic order.
+    """Every valid vector once, in lexicographic order.
 
-    ``frozen`` optionally pins genes (0-based index -> value); only the
-    remaining free genes are enumerated, still lexicographically.
+    ``free`` optionally names the genes (0-based) that vary; every other
+    gene is 0. The free genes are still enumerated lexicographically.
     """
-    frozen = dict(frozen or {})
-    for idx, value in frozen.items():
-        if not 0 <= idx < 11:
-            raise IndexError(f"gene index {idx} out of range")
-        if not 0 <= value < CATALOG.option_counts[idx]:
-            raise ConfigRangeError(idx + 1, value, CATALOG.option_counts[idx])
-
-    def rec(prefix: list[int], i: int) -> Iterator[ConfigurationVector]:
-        if i == 11:
-            yield ConfigurationVector(tuple(prefix))
-            return
-        if i in frozen:
-            choices: tuple[int, ...] = (frozen[i],)
-        else:
-            choices = tuple(range(CATALOG.option_counts[i]))
-        for g in choices:
-            prefix.append(g)
-            yield from rec(prefix, i + 1)
-            prefix.pop()
-
-    yield from rec([], 0)
+    if free is not None and not set(free) <= set(range(11)):
+        raise IndexError(f"gene indices {sorted(free)} outside 0..10")
+    choices = [
+        range(count) if free is None or i in free else (0,)
+        for i, count in enumerate(CATALOG.option_counts)
+    ]
+    return map(ConfigurationVector, itertools.product(*choices))
 
 
 def mutate(
     cfg: ConfigurationVector,
     rate: float,
     rng: np.random.Generator,
-    frozen: Mapping[int, int] | None = None,
+    free: AbstractSet[int] | None = None,
 ) -> ConfigurationVector:
     """Mutate each free gene independently with probability ``rate``.
 
     A gene picked for mutation always changes: binary genes flip,
     ternary genes move to one of the two other values with equal
-    probability. Frozen genes are never touched.
+    probability. Genes outside ``free`` are never touched.
     """
     if not 0.0 <= rate <= 1.0:
         raise ValueError(f"mutation rate must be in [0, 1], got {rate}")
-    frozen = frozen or {}
     genes = list(cfg.genes)
     for i, count in enumerate(CATALOG.option_counts):
-        if i in frozen:
-            continue
-        if rng.random() >= rate:
+        if (free is not None and i not in free) or rng.random() >= rate:
             continue
         if count == 2:
             genes[i] = 1 - genes[i]
         else:
-            others = [v for v in range(count) if v != genes[i]]
-            genes[i] = others[rng.integers(len(others))]
+            k = int(rng.integers(2))  # the k-th of the two other values
+            genes[i] = k + (k >= genes[i])
     return ConfigurationVector(tuple(genes))

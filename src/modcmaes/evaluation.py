@@ -38,13 +38,20 @@ __all__ = [
     "welch_uncertainty",
     "subsample_uncertainty",
     "ResultsCache",
+    "MalformedInputError",
     "format_float",
 ]
 
 
-def format_float(x: float) -> str:
-    """Shortest round-trip decimal form; stable across reruns."""
-    return repr(float(x))
+def format_float(x: float | None) -> str:
+    """The TSV form of a value: ``NA`` for ``None``, else the shortest
+    round-trip decimal form, stable across reruns."""
+    return "NA" if x is None else repr(float(x))
+
+
+class MalformedInputError(ValueError):
+    """A malformed cache, trace or winners file; the message starts with
+    ``<file>:<line>:``."""
 
 
 @dataclass(frozen=True)
@@ -342,8 +349,9 @@ class ResultsCache:
     evaluations_used, best_error, hit_index (``NA`` when the target was
     never reached). A line counts only once its newline is written, so
     a torn tail left by an interrupted write is never read back, and
-    ``append`` cuts it off before writing. There must be only one writer
-    at a time. The class holds the storage format only; the commands
+    ``append`` cuts it off before writing; any other line that is not
+    a record raises :class:`MalformedInputError`. There must be only one
+    writer at a time. The class holds the storage format only; the commands
     read runs back through ``cli.CachedEvaluator``'s index.
     """
 
@@ -368,22 +376,26 @@ class ResultsCache:
             return []
         out = []
         with open(self.path, encoding="utf-8") as fh:
-            for line in fh:
+            for lineno, line in enumerate(fh, start=1):
                 if not line.endswith("\n"):
                     continue  # a torn tail: the write never finished
-                parts = line[:-1].split("\t")
-                if len(parts) != 7:
-                    continue
-                cfg, fid, dim, seed, used, err, hit = parts
-                out.append(
-                    RunRecord(
-                        config=cfg,
-                        function_id=fid,
-                        dimension=int(dim),
-                        seed=int(seed),
-                        evaluations_used=int(used),
-                        best_error=float(err),
-                        hit_index=None if hit == "NA" else int(hit),
+                try:
+                    cfg, fid, dim, seed, used, err, hit = line[:-1].split("\t")
+                    out.append(
+                        RunRecord(
+                            config=cfg,
+                            function_id=fid,
+                            dimension=int(dim),
+                            seed=int(seed),
+                            evaluations_used=int(used),
+                            best_error=float(err),
+                            hit_index=None if hit == "NA" else int(hit),
+                        )
                     )
-                )
+                except ValueError:
+                    raise MalformedInputError(
+                        f"{self.path}:{lineno}: need config, function_id, "
+                        "dimension, seed, evaluations_used, best_error and "
+                        f"hit_index, tab-separated, got {line.rstrip()!r}"
+                    ) from None
         return out

@@ -4,19 +4,21 @@ A mutation-only genetic algorithm evolves 11-gene structure genomes:
 each offspring copies the parent, perturbs its own mutation rate
 through a log-normal logistic rule, mutates the genome at that rate,
 and is scored by a fitness evaluator (ERT-first comparison). Pure comma
-selection: the best offspring always replaces the parent.
+selection: the best offspring always replaces the parent. A search over
+a sub-space takes its set of free genes (0-based); every other gene
+stays 0.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Mapping
+from typing import AbstractSet, Callable
 
 import numpy as np
 
-from .configuration import ConfigurationVector, encode, mutate
-from .evaluation import FitnessSummary, compare_fitness
+from .configuration import CATALOG, ConfigurationVector, encode, mutate
+from .evaluation import FitnessSummary, compare_fitness, format_float
 
 __all__ = [
     "GAIndividual",
@@ -70,41 +72,35 @@ class GARunTrace:
     def to_lines(self) -> str:
         lines = ["generation\tbest_config\tert\tfce"]
         for e in self.entries:
-            ert = "NA" if e.ert is None else repr(e.ert)
-            lines.append(f"{e.generation}\t{e.best_config}\t{ert}\t{repr(e.fce)}")
+            lines.append(f"{e.generation}\t{e.best_config}\t"
+                         f"{format_float(e.ert)}\t{format_float(e.fce)}")
         return "\n".join(lines) + "\n"
 
 
-def mutate_rate(
-    p: float, rng: np.random.Generator, gamma: float = GAMMA
-) -> float:
+def mutate_rate(p: float, rng: np.random.Generator) -> float:
     """Log-normal logistic perturbation of a mutation rate.
 
-    p' = 1 / (1 + ((1-p)/p) * exp(-gamma * g)) with g ~ N(0,1); the rule
+    p' = 1 / (1 + ((1-p)/p) * exp(-GAMMA * g)) with g ~ N(0,1); the rule
     is median-preserving and keeps p' in (0, 1), then clamps to
     [1/11, 0.5].
     """
     if not 0.0 < p < 1.0:
         raise ValueError("p must lie strictly inside (0, 1)")
     g = rng.standard_normal()
-    p_new = 1.0 / (1.0 + ((1.0 - p) / p) * math.exp(-gamma * g))
+    p_new = 1.0 / (1.0 + ((1.0 - p) / p) * math.exp(-GAMMA * g))
     return min(max(p_new, P_MIN), P_MAX)
 
 
 def random_individual(
-    rng: np.random.Generator, frozen: Mapping[int, int] | None = None
+    rng: np.random.Generator, free: AbstractSet[int] | None = None
 ) -> GAIndividual:
-    """Uniformly random genome (free genes only), default rate 2/11."""
-    from .configuration import CATALOG
-
-    frozen = dict(frozen or {})
-    genes = []
-    for i, count in enumerate(CATALOG.option_counts):
-        if i in frozen:
-            genes.append(frozen[i])
-        else:
-            genes.append(int(rng.integers(count)))
-    return GAIndividual(r=ConfigurationVector(tuple(genes)), p_m=P_INIT)
+    """Uniformly random genome over the free genes, the others 0; default
+    rate 2/11. Draws one integer per free gene, in gene order."""
+    genes = tuple(
+        int(rng.integers(count)) if free is None or i in free else 0
+        for i, count in enumerate(CATALOG.option_counts)
+    )
+    return GAIndividual(r=ConfigurationVector(genes), p_m=P_INIT)
 
 
 def _better(a: FitnessSummary, b: FitnessSummary) -> bool:
@@ -121,7 +117,7 @@ def ga_step(
     evaluator: Callable[[ConfigurationVector], FitnessSummary],
     rng: np.random.Generator,
     lambda_: int = 12,
-    frozen: Mapping[int, int] | None = None,
+    free: AbstractSet[int] | None = None,
 ) -> tuple[GAIndividual, list[GAIndividual]]:
     """One comma generation: mutate-rate, mutate-genome, evaluate.
 
@@ -134,7 +130,7 @@ def ga_step(
     offspring: list[GAIndividual] = []
     for _ in range(lambda_):
         p_m = mutate_rate(parent.p_m, rng)
-        genome = mutate(parent.r, p_m, rng, frozen=frozen)
+        genome = mutate(parent.r, p_m, rng, free=free)
         child = GAIndividual(r=genome, p_m=p_m)
         try:
             child.fitness = evaluator(child.r)
@@ -164,7 +160,7 @@ def ga_run(
     budget: int = 240,
     lambda_: int = 12,
     seed: int = 0,
-    frozen: Mapping[int, int] | None = None,
+    free: AbstractSet[int] | None = None,
 ) -> GARunTrace:
     """Run the (1, lambda) GA for ``budget // lambda`` generations.
 
@@ -175,13 +171,13 @@ def ga_run(
     if budget < lambda_:
         raise ValueError("budget must be at least lambda")
     rng = np.random.default_rng(seed)
-    parent = random_individual(rng, frozen=frozen)
+    parent = random_individual(rng, free=free)
     generations = budget // lambda_
     trace = GARunTrace()
     incumbent: GAIndividual | None = None
     for gen in range(1, generations + 1):
         parent, offspring = ga_step(
-            parent, evaluator, rng, lambda_=lambda_, frozen=frozen
+            parent, evaluator, rng, lambda_=lambda_, free=free
         )
         trace.evaluations += lambda_
         trace.failures += sum(1 for c in offspring if c.fitness.n == 0)

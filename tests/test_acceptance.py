@@ -214,23 +214,23 @@ def reduced_space_cache(tmp_path_factory):
     evaluator = CachedEvaluator(
         problem, cache, n_runs=32, budget=2000, base_seed=0
     )
-    frozen = {i: 0 for i in range(3, 11)}
+    free = {0, 1, 2}
     summaries = {}
-    for cfg in enumerate_all(frozen=frozen):
+    for cfg in enumerate_all(free):
         summaries[encode(cfg)] = evaluator(encode(cfg))
     best = None
     for s in summaries.values():
         if best is None or compare(s, best).winner == "A":
             best = s
-    return evaluator, frozen, best.config
+    return evaluator, free, best.config
 
 
 def test_09_ga_recovers_brute_force_best(reduced_space_cache):
-    evaluator, frozen, best_config = reduced_space_cache
+    evaluator, free, best_config = reduced_space_cache
     executed_before = evaluator.runs_executed
     hits = 0
     for seed in range(30):
-        trace = ga_run(evaluator, budget=240, lambda_=12, seed=seed, frozen=frozen)
+        trace = ga_run(evaluator, budget=240, lambda_=12, seed=seed, free=free)
         if trace.best_config == best_config:
             hits += 1
     print(f"  GA recovered brute-force best {best_config}: {hits}/30")
@@ -240,10 +240,10 @@ def test_09_ga_recovers_brute_force_best(reduced_space_cache):
 
 
 def test_10_ga_budget_accounting(reduced_space_cache):
-    evaluator, frozen, _ = reduced_space_cache
+    evaluator, free, _ = reduced_space_cache
     ok = True
     for seed in range(30):
-        trace = ga_run(evaluator, budget=240, lambda_=12, seed=seed, frozen=frozen)
+        trace = ga_run(evaluator, budget=240, lambda_=12, seed=seed, free=free)
         if trace.evaluations != 240 or len(trace.entries) != 20:
             ok = False
             break

@@ -41,6 +41,7 @@ BASE = ["--function", "sphere", "--dim", "2", "--budget", "400"]
      "--jobs", "0"],
     ["bruteforce", "--free", "1", "--runs", "1", "--budget", "1",
      "--jobs", "-3"],
+    ["ga", "--budget", "400", "--ga-runs", "0", "--out", "traces"],
 ])
 def test_budget_below_one_rejected(argv, tmp_path, capsys):
     cache = str(tmp_path / "cache.tsv")
@@ -69,12 +70,24 @@ class TestCmdRun:
 
     def test_bad_config_exit_and_position(self, tmp_path, capsys):
         cache = str(tmp_path / "cache.tsv")
-        code, out, err = _run_cli(
-            ["run", "--config", "0000000000X", *BASE, "--cache", cache],
-            capsys,
-        )
-        assert code != 0
-        assert "position 11" in err
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--config", "0000000000X", *BASE, "--cache", cache])
+        assert exc.value.code == 2
+        assert "position 11" in capsys.readouterr().err
+        assert not os.path.exists(cache)
+
+    def test_malformed_cache_line_exits_2(self, tmp_path, capsys):
+        cache = str(tmp_path / "cache.tsv")
+        argv = ["run", "--config", "00000000000", *BASE, "--runs", "2",
+                "--cache", cache]
+        _run_cli(argv, capsys)
+        with open(cache, "a", encoding="utf-8") as fh:
+            fh.write("00000000000\tsphere\t2\t7\n")
+        size = os.path.getsize(cache)
+        code, out, err = _run_cli(argv, capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"{cache}:3: ") and err.count("\n") == 1
+        assert os.path.getsize(cache) == size
 
     def test_rerun_identical_output_no_new_lines(self, tmp_path, capsys):
         cache = str(tmp_path / "cache.tsv")
@@ -145,8 +158,7 @@ class TestCmdBruteforce:
         # Simulate a sweep killed after five of the eight configurations.
         from modcmaes.configuration import enumerate_all, encode
 
-        frozen = {i: 0 for i in range(3, 11)}
-        for i, cfg in enumerate(enumerate_all(frozen=frozen)):
+        for i, cfg in enumerate(enumerate_all({0, 1, 2})):
             if i == 5:
                 break
             evaluator(encode(cfg))
@@ -382,6 +394,14 @@ class TestRankReport:
         assert (code, out) == (2, "")
         assert err.startswith(f"{path}:3: ") and err.count("\n") == 1
 
+    def test_report_rank_rejects_invalid_ga_best(self, tmp_path, capsys):
+        # A complete cache: the trace is at fault, not the cache.
+        cache, out_dir = self._warm(tmp_path, capsys, ["0000000000X"])
+        code, out, err = self._rank(cache, out_dir, "1,2,3", capsys)
+        path = os.path.join(out_dir, "trace_000.tsv")
+        assert (code, out) == (2, "")
+        assert err.startswith(f"{path}:2: ") and err.count("\n") == 1
+
     def test_report_rank_refuses_uncached_ga_best(self, tmp_path, capsys):
         cache, out_dir = self._warm(
             tmp_path, capsys, ["01100000000", "00010000000"])
@@ -537,7 +557,7 @@ class TestConvergenceReport:
 
 class TestSuiteCommand:
     def test_manifest_emitted(self, capsys):
-        code, out, _ = _run_cli(["suite", "--seed", "0"], capsys)
+        code, out, _ = _run_cli(["suite"], capsys)
         assert code == 0
         lines = out.strip().split("\n")
         assert lines[0] == "function_id\tdimension\tsubgroup\tseed"

@@ -1,5 +1,9 @@
+import functools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from modcmaes.configuration import (
     CATALOG,
@@ -98,8 +102,7 @@ def test_enumerate_round_trip_everything():
 
 
 def test_enumerate_frozen_subspace():
-    frozen = {i: 0 for i in range(3, 11)}
-    subset = list(enumerate_all(frozen=frozen))
+    subset = list(enumerate_all(free={0, 1, 2}))
     assert len(subset) == 8
     for cfg in subset:
         assert cfg.genes[3:] == (0,) * 8
@@ -155,9 +158,8 @@ def test_mutate_never_leaves_range():
 def test_mutate_respects_frozen_genes():
     rng = np.random.default_rng(4)
     cfg = decode("00000000000")
-    frozen = {i: 0 for i in range(3, 11)}
     for _ in range(200):
-        cfg = mutate(cfg, 1.0, rng, frozen=frozen)
+        cfg = mutate(cfg, 1.0, rng, free={0, 1, 2})
         assert cfg.genes[3:] == (0,) * 8
 
 
@@ -179,3 +181,24 @@ def test_named_views():
     assert default.weights_option == "log"
     assert default.base_sampler == "gaussian"
     assert default.restart_regime == "none"
+
+
+@functools.cache
+def _full_enumeration():
+    return tuple(enumerate_all())
+
+
+@settings(max_examples=50)
+@given(free=st.sets(st.integers(0, 10)))
+def test_enumerate_free_subset_is_filtered_full_enumeration(free):
+    expected = [
+        cfg for cfg in _full_enumeration()
+        if all(g == 0 for i, g in enumerate(cfg.genes) if i not in free)
+    ]
+    assert list(enumerate_all(free)) == expected
+
+
+def test_enumerate_rejects_gene_index_out_of_range():
+    for free in ({11}, {-1}):
+        with pytest.raises(IndexError):
+            list(enumerate_all(free))

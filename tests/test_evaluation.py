@@ -9,6 +9,7 @@ from modcmaes.benchmarks import make_problem
 from modcmaes.core import RunRecord
 from modcmaes.evaluation import (
     FitnessSummary,
+    MalformedInputError,
     ResultsCache,
     compare,
     compute_ert,
@@ -360,6 +361,23 @@ class TestResultsCache:
         back = cache.records()
         assert [(r.seed, r.hit_index) for r in back] == [(1, 100), (3, None)]
         assert path.read_text().count("\n") == 2
+
+    @pytest.mark.parametrize("line", [
+        "00000000000\tsphere\t2\t9\t100",
+        "00000000000\tsphere\t2\t9\t100\t0.5\tNA\tx",
+        "00000000000\tsphere\t2\tnine\t100\t0.5\tNA",
+        "00000000000\tsphere\t2\t9\t100\tsmall\tNA",
+    ], ids=["short", "long", "non-numeric-seed", "non-numeric-error"])
+    def test_malformed_line_names_path_and_line(self, tmp_path, line):
+        path = tmp_path / "cache.tsv"
+        cache = ResultsCache(str(path))
+        cache.append([_rec(100, 100, seed=1)])
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write(line + "\n")
+        cache.append([_rec(100, 100, seed=2)])
+        with pytest.raises(MalformedInputError) as exc:
+            cache.records()
+        assert str(exc.value).startswith(f"{path}:2: ")
 
     def test_append_after_torn_first_line(self, tmp_path):
         path = tmp_path / "cache.tsv"

@@ -45,9 +45,9 @@ def _summary_for(cfg_str, ert=None, fce=1.0):
 
 class TestMutateRate:
     def test_gamma_zero_is_identity(self):
-        rng = np.random.default_rng(0)
+        # A zero draw makes gamma * g zero, whatever GAMMA is.
         for p in (0.12, 0.2, 0.35, 0.5):
-            assert mutate_rate(p, rng, gamma=0.0) == pytest.approx(p)
+            assert mutate_rate(p, _FixedNormal(0.0)) == pytest.approx(p)
 
     def test_logistic_symmetry_at_half(self):
         assert mutate_rate(0.5, _FixedNormal(0.0)) == pytest.approx(0.5)
@@ -115,16 +115,16 @@ class TestGaStep:
         assert new_parent.fitness.fce == best.fitness.fce
 
     def test_mutation_respects_frozen(self):
-        frozen = {i: 0 for i in range(3, 11)}
+        free = {0, 1, 2}
 
         def evaluator(cfg):
             return _summary_for(encode(cfg))
 
         rng = np.random.default_rng(6)
-        parent = random_individual(rng, frozen=frozen)
+        parent = random_individual(rng, free=free)
         for _ in range(5):
             parent, offspring = ga_step(
-                parent, evaluator, rng, lambda_=12, frozen=frozen
+                parent, evaluator, rng, lambda_=12, free=free
             )
             for child in offspring:
                 assert child.r.genes[3:] == (0,) * 8
@@ -192,13 +192,13 @@ class TestGaRun:
 
     def test_first_failure_reason_kept_on_trace(self, monkeypatch):
         problem = make_problem("sphere", 2)
-        frozen = {i: 0 for i in range(3, 11)}
+        free = {0, 1, 2}
 
         def evaluator(cfg):
             runs = [core.run(encode(cfg), problem, 100, seed=s) for s in (1, 2)]
             return summarize(runs)
 
-        clean = ga_run(evaluator, budget=24, lambda_=12, seed=0, frozen=frozen)
+        clean = ga_run(evaluator, budget=24, lambda_=12, seed=0, free=free)
         assert clean.failures == 0 and clean.first_error is None
         run = core.run
 
@@ -208,7 +208,7 @@ class TestGaRun:
             return run(cfg_str, *args, **kwargs)
 
         monkeypatch.setattr(core, "run", broken_run)
-        trace = ga_run(evaluator, budget=24, lambda_=12, seed=0, frozen=frozen)
+        trace = ga_run(evaluator, budget=24, lambda_=12, seed=0, free=free)
         assert trace.failures > 0
         assert trace.first_error == "RuntimeError: engine down"
         assert "engine down" not in trace.to_lines()
@@ -260,9 +260,10 @@ class TestGaRun:
         assert a.to_lines() == b.to_lines()
 
     def test_reduced_space_recovers_brute_force_best(self):
-        # All-zero tail frozen: 8 structures; fitness minimized at a
-        # known genome. The GA must find it with its standard budget.
-        frozen = {i: 0 for i in range(3, 11)}
+        # Genes 1-3 free, the tail all zero: 8 structures; fitness
+        # minimized at a known genome. The GA must find it with its
+        # standard budget.
+        free = {0, 1, 2}
         target = (1, 0, 1)
 
         def evaluator(cfg):
@@ -272,12 +273,12 @@ class TestGaRun:
             return _summary_for(encode(cfg), ert=None, fce=float(dist))
 
         best_by_bf = min(
-            enumerate_all(frozen=frozen),
+            enumerate_all(free),
             key=lambda cfg: sum(abs(a - b) for a, b in zip(cfg.genes[:3], target)),
         )
         hits = 0
         for seed in range(10):
-            trace = ga_run(evaluator, budget=240, lambda_=12, seed=seed, frozen=frozen)
+            trace = ga_run(evaluator, budget=240, lambda_=12, seed=seed, free=free)
             if trace.best_config == encode(best_by_bf):
                 hits += 1
         assert hits == 10
