@@ -18,6 +18,7 @@ from .configuration import (
 )
 from .sampling import Sampler, SamplerSpec, gaussian_transform, quasi_uniform
 from .core import (
+    ENGINE_VERSION,
     RunRecord,
     StrategyParams,
     apply_threshold,
@@ -51,6 +52,7 @@ __all__ = [
     "SamplerSpec",
     "gaussian_transform",
     "quasi_uniform",
+    "ENGINE_VERSION",
     "RunRecord",
     "StrategyParams",
     "apply_threshold",

@@ -5,7 +5,9 @@ benchmark collection: every function is minimized, shifted to a seeded
 optimum ``x_opt`` with value offset ``f_opt``, optionally rotated, and
 reported as error ``f(x) - f_opt`` against a target precision of 1e-8
 inside the box [-5, 5]^D. Each (function, dimension) pair has one
-instance, seeded by a CRC of its name.
+instance, seeded by a CRC of its name. Each raw function works along the
+last axis of its input, so :meth:`Problem.error` evaluates a block of
+points (n, D) in one call.
 """
 
 from __future__ import annotations
@@ -48,8 +50,14 @@ def default_budget(dimension: int) -> int:
     return 1000 * dimension
 
 
-def _sphere(z: np.ndarray, aux: dict) -> float:
-    return float(z @ z)
+def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dot products along the last axis: the stacked form gives the bits
+    of ``a[i] @ b[i]`` row by row, which a matrix-vector product does not."""
+    return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
+
+
+def _sphere(z: np.ndarray, aux: dict) -> np.ndarray:
+    return _rowdot(z, z)
 
 
 @cache
@@ -60,47 +68,49 @@ def _ellipsoid_coeff(d: int) -> np.ndarray:
     return coeff
 
 
-def _ellipsoid(z: np.ndarray, aux: dict) -> float:
-    return float(_ellipsoid_coeff(len(z)) @ (z * z))
+def _ellipsoid(z: np.ndarray, aux: dict) -> np.ndarray:
+    return _rowdot(z * z, _ellipsoid_coeff(z.shape[-1]))
 
 
-def _rastrigin(z: np.ndarray, aux: dict) -> float:
-    return float(10.0 * (len(z) - np.cos(2.0 * np.pi * z).sum()) + z @ z)
+def _rastrigin(z: np.ndarray, aux: dict) -> np.ndarray:
+    d = z.shape[-1]
+    return 10.0 * (d - np.cos(2.0 * np.pi * z).sum(axis=-1)) + _rowdot(z, z)
 
 
-def _attractive_sector(z: np.ndarray, aux: dict) -> float:
+def _attractive_sector(z: np.ndarray, aux: dict) -> np.ndarray:
     s = np.where(z > 0.0, 100.0, 1.0)
-    return float(((s * z) ** 2).sum())
+    return ((s * z) ** 2).sum(axis=-1)
 
 
-def _rosenbrock(z: np.ndarray, aux: dict) -> float:
+def _rosenbrock(z: np.ndarray, aux: dict) -> np.ndarray:
     w = z + 1.0
-    return float((100.0 * (w[:-1] ** 2 - w[1:]) ** 2 + (w[:-1] - 1.0) ** 2).sum())
+    head, tail = w[..., :-1], w[..., 1:]
+    return (100.0 * (head**2 - tail) ** 2 + (head - 1.0) ** 2).sum(axis=-1)
 
 
-def _discus(z: np.ndarray, aux: dict) -> float:
-    return float(1e6 * z[0] ** 2 + (z[1:] ** 2).sum())
+def _discus(z: np.ndarray, aux: dict) -> np.ndarray:
+    return 1e6 * z[..., 0] ** 2 + (z[..., 1:] ** 2).sum(axis=-1)
 
 
-def _schaffers(z: np.ndarray, aux: dict) -> float:
-    s = np.sqrt(z[:-1] ** 2 + z[1:] ** 2)
+def _schaffers(z: np.ndarray, aux: dict) -> np.ndarray:
+    s = np.sqrt(z[..., :-1] ** 2 + z[..., 1:] ** 2)
     inner = np.sqrt(s) * (1.0 + np.sin(50.0 * s**0.2) ** 2)
-    return float((inner.sum() / (len(z) - 1)) ** 2)
+    return (inner.sum(axis=-1) / (z.shape[-1] - 1)) ** 2
 
 
-def _gallagher(z: np.ndarray, aux: dict) -> float:
+def _gallagher(z: np.ndarray, aux: dict) -> np.ndarray:
     centers = aux["centers"]  # (n_peaks, D); row 0 is the origin
     heights = aux["heights"]  # row 0 has height 10.0
     scales = aux["scales"]  # (n_peaks, D) diagonal quadratic forms
-    diff = z[None, :] - centers
-    expo = (scales * diff * diff).sum(axis=1) / (2.0 * len(z))
-    best = (heights * np.exp(-expo)).max()
-    return float((10.0 - best) ** 2)
+    diff = z[..., None, :] - centers
+    expo = (scales * diff * diff).sum(axis=-1) / (2.0 * z.shape[-1])
+    best = (heights * np.exp(-expo)).max(axis=-1)
+    return (10.0 - best) ** 2
 
 
 @dataclass(frozen=True)
 class _FunctionDef:
-    raw: Callable[[np.ndarray, dict], float]
+    raw: Callable[[np.ndarray, dict], np.ndarray]  # along the last axis
     subgroup: str
     rotated: bool
     make_aux: Callable[[int, np.random.Generator], dict] | None = None
@@ -171,15 +181,26 @@ class Problem:
     def upper(self) -> np.ndarray:
         return np.full(self.dimension, UPPER)
 
-    def error(self, x: np.ndarray) -> float:
-        """Nonnegative optimality gap ``f(x) - f_opt``."""
+    def error(self, x: np.ndarray) -> np.ndarray | float:
+        """Nonnegative optimality gap ``f(x) - f_opt`` of a point or a block.
+
+        ``x`` is one point (D,), which gives a ``float``, or a block of
+        rows (n, D), evaluated in one call, which gives an (n,) array. A
+        point is evaluated as the block of its one row, and row i of any
+        block has the bits of ``error(x[i])``: a point's error never
+        depends on the block it was evaluated in.
+        """
         x = np.asarray(x, dtype=float)
-        if x.shape != (self.dimension,):
+        if x.ndim not in (1, 2) or x.shape[-1] != self.dimension:
             raise ValueError(
-                f"expected shape ({self.dimension},), got {x.shape}"
+                f"expected shape ({self.dimension},) or (n, {self.dimension}),"
+                f" got {x.shape}"
             )
-        z = self.rotation.T @ (x - self.x_opt)
-        return FUNCTIONS[self.function_id].raw(z, self.aux)
+        v = x.reshape(-1, self.dimension) - self.x_opt
+        # A stacked matrix-vector product: the bits of rotation.T @ v[i].
+        z = np.matmul(self.rotation.T, v[:, :, None])[:, :, 0]
+        err = FUNCTIONS[self.function_id].raw(z, self.aux)
+        return float(err[0]) if x.ndim == 1 else err
 
 
 def make_problem(function_id: str, dimension: int) -> Problem:

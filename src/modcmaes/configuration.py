@@ -175,7 +175,7 @@ def decode(text: str) -> ConfigurationVector:
     genes = []
     for i, ch in enumerate(text):
         count = CATALOG.option_counts[i]
-        if not ch.isdigit():
+        if not "0" <= ch <= "9":  # str.isdigit also takes "²" and "٠"
             raise ConfigRangeError(i + 1, -1, count)
         genes.append(int(ch))
     return ConfigurationVector(tuple(genes))

@@ -19,6 +19,15 @@ candidate solutions and the float array ``f`` the objective values of
 the evaluated prefix of ``X`` (sequential selection may stop early).
 The selected parents are an ``(f, Y, X)`` triple of mu rows ranked
 best-first; elitism carries that triple into the next selection.
+
+The objective sees blocks of rows, never single points: a generation is
+one block, or under sequential selection its first ``seq_cutoff`` rows
+and then one row per call; TPA's two probes are one block. Every row
+evaluated is charged to the budget. A run that reaches the target pays
+for the whole block it was reached in, so ``hit_index <=
+evaluations_used < hit_index + block size``; the ERT counts it up to
+``hit_index``. :data:`ENGINE_VERSION` names these numerics, and the
+results cache stores it.
 """
 
 from __future__ import annotations
@@ -32,6 +41,7 @@ from .configuration import ConfigurationVector, decode, encode
 from .sampling import Sampler, SamplerSpec
 
 __all__ = [
+    "ENGINE_VERSION",
     "StrategyParams",
     "RunRecord",
     "SelectionShortfallError",
@@ -48,6 +58,11 @@ __all__ = [
     "ALPHA_TPA",
     "C_ALPHA",
 ]
+
+# The version of the engine's numerics. Bump it with every change that
+# can change a run's record, so that a results cache written by another
+# version is refused instead of read as this one's.
+ENGINE_VERSION = 2
 
 # Two-point step-size adaptation constants: probe offset factor and
 # smoothing rate of the probe signal.
@@ -136,23 +151,24 @@ def evaluate_offspring(
     seq_cutoff: int,
     f_best: float = math.inf,
 ) -> np.ndarray:
-    """Evaluate the rows of ``X`` in order, optionally stopping early.
+    """Evaluate the rows of ``X`` in blocks, optionally stopping early.
 
-    With sequential selection active, evaluation stops as soon as at
-    least ``seq_cutoff`` rows are evaluated and one of them improved on
-    ``f_best``. Returns the values of the evaluated prefix.
+    ``objective`` takes a block of rows and returns their values. Without
+    sequential selection the whole of ``X`` is one block. With it, the
+    first ``seq_cutoff`` rows are one block, then one row per call until
+    a row evaluated so far improves on ``f_best``. Returns the values of
+    the evaluated prefix.
     """
-    f = []
-    improved = False
-    for x in X:
-        fx = float(objective(x))
-        f.append(fx)
-        if fx < f_best:
-            f_best = fx
-            improved = True
-        if seq_active and improved and len(f) >= seq_cutoff:
+    if not seq_active:
+        return objective(X)
+    blocks = [objective(X[:seq_cutoff])]
+    improved = bool((blocks[0] < f_best).any())
+    for i in range(seq_cutoff, len(X)):
+        if improved:
             break
-    return np.array(f)
+        blocks.append(objective(X[i : i + 1]))
+        improved = bool(blocks[-1][0] < f_best)
+    return np.concatenate(blocks)
 
 
 def select(
@@ -400,7 +416,15 @@ class RunRecord:
 
 
 class _Accountant:
-    """Budgeted objective wrapper; the only path to the test function."""
+    """Budgeted objective wrapper; the only path to the test function.
+
+    A call evaluates a block of rows (n, D) in one ``problem.error`` call
+    and charges every row it evaluates: at most the budget left, so a
+    block cut by the budget ends the run after it is charged. The first
+    row whose best-so-far reaches the target is ``hit_index`` (1-based),
+    and the run ends after that block, so ``hit_index <= used <
+    hit_index + n``.
+    """
 
     def __init__(self, problem, budget: int, target: float, record: bool):
         self.problem = problem
@@ -409,21 +433,26 @@ class _Accountant:
         self.used = 0
         self.best_error = math.inf
         self.hit_index: int | None = None
-        self.trajectory: list[float] | None = [] if record else None
+        self.trajectory: list[np.ndarray] | None = [] if record else None
 
-    def __call__(self, x: np.ndarray) -> float:
-        if self.used >= self.budget:
+    def __call__(self, X: np.ndarray) -> np.ndarray:
+        room = self.budget - self.used
+        if room <= 0:
             raise _RunOver
-        self.used += 1
-        err = self.problem.error(x)
-        if not math.isfinite(err):
-            err = math.inf
-        if err < self.best_error:
-            self.best_error = err
+        rows = X[:room]
+        err = self.problem.error(rows)
+        if not np.isfinite(err).all():
+            err = np.where(np.isfinite(err), err, math.inf)
+        start = self.used
+        self.used += len(err)
+        best = np.minimum.accumulate(np.minimum(err, self.best_error))
+        self.best_error = float(best[-1])
         if self.trajectory is not None:
-            self.trajectory.append(self.best_error)
-        if self.best_error <= self.target and self.hit_index is None:
-            self.hit_index = self.used
+            self.trajectory.append(best)
+        if self.best_error <= self.target:
+            self.hit_index = start + 1 + int(np.argmax(best <= self.target))
+            raise _RunOver
+        if len(rows) < len(X):
             raise _RunOver
         return err
 
@@ -499,8 +528,7 @@ def _run_local(
         if cfg.tpa:
             dm = (new_mean - old_mean) / params.sigma
             probe = params.sigma * ALPHA_TPA * dm
-            f_plus = acct(new_mean + probe)
-            f_minus = acct(new_mean - probe)
+            f_plus, f_minus = acct(np.stack((new_mean + probe, new_mean - probe)))
             if f_plus < f_minus:
                 tpa_sign = 1
             elif f_minus < f_plus:
@@ -593,7 +621,8 @@ def run(
         best_error=acct.best_error,
         hit_index=acct.hit_index,
         trajectory=(
-            np.array(acct.trajectory) if acct.trajectory is not None else None
+            np.concatenate(acct.trajectory)
+            if acct.trajectory is not None else None
         ),
         generation_best_f=generation_best,
         restarts=starts - 1,

@@ -13,6 +13,7 @@ from __future__ import annotations
 import contextlib
 import math
 import os
+import re
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import cache, partial
@@ -22,7 +23,7 @@ import numpy as np
 
 from .benchmarks import default_budget
 from .configuration import ConfigurationVector
-from .core import RunRecord, run
+from .core import ENGINE_VERSION, RunRecord, run
 
 __all__ = [
     "RunRecord",
@@ -38,6 +39,7 @@ __all__ = [
     "welch_uncertainty",
     "subsample_uncertainty",
     "ResultsCache",
+    "CACHE_HEADER",
     "MalformedInputError",
     "format_float",
 ]
@@ -78,15 +80,19 @@ class ComparisonResult:
 
 
 def compute_ert(runs: list[RunRecord]) -> float | None:
-    """Total evaluations over all runs divided by the success count.
+    """Evaluations spent until success over all runs, per success.
 
-    Failed runs contribute everything they consumed; returns ``None``
-    when no run reached the target.
+    A successful run counts up to its ``hit_index``, so the rest of the
+    block that reached the target is not charged to the ERT; a failed
+    run counts everything it consumed. Returns ``None`` when no run
+    reached the target.
     """
     successes = sum(1 for r in runs if r.hit_index is not None)
     if successes == 0:
         return None
-    total = sum(r.evaluations_used for r in runs)
+    total = sum(
+        r.evaluations_used if r.hit_index is None else r.hit_index for r in runs
+    )
     return total / successes
 
 
@@ -342,10 +348,21 @@ def _last_line_end(fh, end: int) -> int:
     return 0
 
 
+_HEADER_TAG = "#modcmaes results cache\t"
+CACHE_HEADER = f"{_HEADER_TAG}engine_version={ENGINE_VERSION}\n"
+
+
 class ResultsCache:
     """Append-only tab-separated store of individual run results.
 
-    One line per run: config, function_id, dimension, seed,
+    The first line is the header :data:`CACHE_HEADER`, which holds the
+    :data:`~modcmaes.core.ENGINE_VERSION` that wrote the records; the
+    first append to a new file writes it. Reading or appending a file
+    with no header or with another engine version raises
+    :class:`MalformedInputError` naming ``<file>:1:`` and both versions;
+    there is no migration, and reading never writes.
+
+    Then one line per run: config, function_id, dimension, seed,
     evaluations_used, best_error, hit_index (``NA`` when the target was
     never reached). A line counts only once its newline is written, so
     a torn tail left by an interrupted write is never read back, and
@@ -358,10 +375,30 @@ class ResultsCache:
     def __init__(self, path: str):
         self.path = path
 
+    def _check_header(self, line: str) -> None:
+        if line == CACHE_HEADER:
+            return
+        found = "1 (no header)"
+        if line.startswith(_HEADER_TAG):
+            m = re.search(r"engine_version=(\S+)", line)
+            found = m.group(1) if m else "unknown"
+        raise MalformedInputError(
+            f"{self.path}:1: results cache of engine version {found}; this "
+            f"engine is version {ENGINE_VERSION} and reads no other, so use "
+            "a new cache file"
+        )
+
     def append(self, records: list[RunRecord]) -> None:
+        text = "".join(map(self.format_record, records))
         with open(self.path, "a+b") as fh:
-            fh.truncate(_last_line_end(fh, fh.seek(0, os.SEEK_END)))
-            fh.write("".join(map(self.format_record, records)).encode())
+            end = _last_line_end(fh, fh.seek(0, os.SEEK_END))
+            if end:
+                fh.seek(0)
+                self._check_header(fh.readline().decode("utf-8", "replace"))
+            else:
+                text = CACHE_HEADER + text
+            fh.truncate(end)
+            fh.write(text.encode())
 
     @staticmethod
     def format_record(r: RunRecord) -> str:
@@ -376,7 +413,11 @@ class ResultsCache:
             return []
         out = []
         with open(self.path, encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
+            header = fh.readline()
+            if not header.endswith("\n"):
+                return out  # empty, or the first write never finished
+            self._check_header(header)
+            for lineno, line in enumerate(fh, start=2):
                 if not line.endswith("\n"):
                     continue  # a torn tail: the write never finished
                 try:

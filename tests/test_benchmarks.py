@@ -77,6 +77,30 @@ def test_dimension_mismatch_rejected():
         p.error(np.zeros(4))
 
 
+@pytest.mark.parametrize("fid", sorted(FUNCTIONS))
+@pytest.mark.parametrize("dim", DIMENSIONS)
+def test_block_rows_match_points_bitwise(fid, dim):
+    p = make_problem(fid, dim)
+    rng = np.random.default_rng(dim)
+    for n in (1, 2, 7, 48):
+        # points over the box and near the optimum, where errors are tiny
+        scale = 10.0 ** rng.integers(-9, 1, size=(n, 1))
+        X = p.x_opt + scale * rng.uniform(-5.0, 5.0, size=(n, dim))
+        block = p.error(X)
+        assert block.shape == (n,)
+        points = [p.error(x) for x in X]
+        assert all(type(v) is float for v in points)
+        assert block.tobytes() == np.array(points).tobytes()
+
+
+@pytest.mark.parametrize("shape", [(4,), (2, 4), (2, 1), (1, 2, 3), ()],
+                         ids=["point-4", "block-4", "block-1", "3-d", "scalar"])
+def test_wrong_shape_rejected(shape):
+    p = make_problem("sphere", 3)
+    with pytest.raises(ValueError):
+        p.error(np.zeros(shape))
+
+
 def test_unknown_function_and_dimension():
     with pytest.raises(KeyError):
         make_problem("nope", 2)

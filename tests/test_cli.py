@@ -16,7 +16,7 @@ from modcmaes.cli import (
 )
 from modcmaes.configuration import decode
 from modcmaes.core import RunRecord
-from modcmaes.evaluation import ResultsCache
+from modcmaes.evaluation import CACHE_HEADER, ResultsCache
 from modcmaes.metaga import GARunTrace, TraceEntry
 
 
@@ -63,7 +63,8 @@ class TestCmdRun:
         )
         assert code == 0
         with open(cache) as fh:
-            lines = fh.read().strip().split("\n")
+            header, *lines = fh.read().strip().split("\n")
+        assert header + "\n" == CACHE_HEADER
         assert len(lines) == 4
         seeds = [int(l.split("\t")[3]) for l in lines]
         assert seeds == [1, 2, 3, 4]
@@ -86,8 +87,21 @@ class TestCmdRun:
         size = os.path.getsize(cache)
         code, out, err = _run_cli(argv, capsys)
         assert (code, out) == (2, "")
-        assert err.startswith(f"{cache}:3: ") and err.count("\n") == 1
+        assert err.startswith(f"{cache}:4: ") and err.count("\n") == 1
         assert os.path.getsize(cache) == size
+
+    def test_headerless_cache_exits_2(self, tmp_path, capsys):
+        cache = str(tmp_path / "cache.tsv")
+        record = "00000000000\tsphere\t2\t0\t300\t0.5\tNA\n"
+        with open(cache, "w", encoding="utf-8") as fh:
+            fh.write(record)  # a cache written before the header existed
+        code, out, err = _run_cli(
+            ["run", "--config", "00000000000", *BASE, "--runs", "2",
+             "--cache", cache], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"{cache}:1: ") and err.count("\n") == 1
+        with open(cache, encoding="utf-8") as fh:
+            assert fh.read() == record
 
     def test_rerun_identical_output_no_new_lines(self, tmp_path, capsys):
         cache = str(tmp_path / "cache.tsv")
@@ -466,6 +480,19 @@ class TestActivationReport:
         )
         assert (code, out) == (2, "")
         assert err.startswith(f"{winners}:3: ") and err.count("\n") == 1
+
+    def test_cli_non_ascii_digit_names_file_and_line(self, tmp_path, capsys):
+        winners = tmp_path / "winners.tsv"
+        winners.write_text(
+            "run\tga_seed\tfunction_id\tdimension\tbest_config\tert\tfce\n"
+            "0\t0\tsphere\t2\t0000000000\u00b2\tNA\t1.0\n",
+            encoding="utf-8",
+        )
+        code, out, err = _run_cli(
+            ["report-activation", "--winners", str(winners)], capsys
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith(f"{winners}:2: ") and err.count("\n") == 1
 
     def test_cli_group_by_dimension(self, tmp_path, capsys):
         winners = tmp_path / "winners.tsv"

@@ -49,9 +49,14 @@ def test_decode_rejects_bad_length():
 
 
 def test_decode_rejects_non_digit():
-    with pytest.raises(ConfigRangeError) as exc:
-        decode("0000000000X")
-    assert exc.value.position == 11
+    for text, position in [
+        ("0000000000X", 11),
+        ("0000000000\u00b2", 11),  # superscript two: isdigit, but not int()
+        ("\u0660" * 11, 1),  # Arabic-Indic zeros: int() reads them as 0
+    ]:
+        with pytest.raises(ConfigRangeError) as exc:
+            decode(text)
+        assert exc.value.position == position
 
 
 def test_decode_rejects_binary_gene_out_of_range():

@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from modcmaes.benchmarks import make_problem
-from modcmaes.configuration import decode, enumerate_all
+from modcmaes.benchmarks import FUNCTIONS, make_problem
+from modcmaes.configuration import CATALOG, decode, enumerate_all
 from modcmaes.core import (
     SelectionShortfallError,
     StrategyParams,
@@ -187,9 +189,9 @@ class TestEvaluateOffspring:
         X = np.zeros((6, 2))
         calls = []
 
-        def obj(x):
-            calls.append(1)
-            return 5.0
+        def obj(X):
+            calls.extend([1] * len(X))
+            return np.full(len(X), 5.0)
 
         out = evaluate_offspring(X, obj, seq_active=False, seq_cutoff=3)
         assert len(out) == 6
@@ -199,8 +201,8 @@ class TestEvaluateOffspring:
         X = np.zeros((6, 2))
         values = iter([5.0, 0.5, 4.0, 3.0, 2.0, 1.0])  # improvement at index 1
 
-        def obj(x):
-            return next(values)
+        def obj(X):
+            return np.array([next(values) for _ in X])
 
         out = evaluate_offspring(
             X, obj, seq_active=True, seq_cutoff=3, f_best=1.0
@@ -211,8 +213,8 @@ class TestEvaluateOffspring:
         X = np.zeros((6, 2))
         values = iter([5.0, 6.0, 0.5, 4.0, 3.0, 2.0])
 
-        def obj(x):
-            return next(values)
+        def obj(X):
+            return np.array([next(values) for _ in X])
 
         out = evaluate_offspring(
             X, obj, seq_active=True, seq_cutoff=3, f_best=1.0
@@ -222,8 +224,8 @@ class TestEvaluateOffspring:
     def test_no_improvement_evaluates_all(self):
         X = np.zeros((5, 2))
 
-        def obj(x):
-            return 99.0
+        def obj(X):
+            return np.full(len(X), 99.0)
 
         out = evaluate_offspring(
             X, obj, seq_active=True, seq_cutoff=2, f_best=1.0
@@ -232,7 +234,7 @@ class TestEvaluateOffspring:
 
     def test_rows_evaluated_in_order(self):
         X = np.arange(8.0).reshape(4, 2)
-        out = evaluate_offspring(X, lambda x: x[0], seq_active=False, seq_cutoff=2)
+        out = evaluate_offspring(X, lambda X: X[:, 0], seq_active=False, seq_cutoff=2)
         assert out.tolist() == [0.0, 2.0, 4.0, 6.0]
 
 
@@ -420,7 +422,7 @@ class TestAdapt:
 
 
 class _CountingProblem:
-    """Proxies a problem while counting objective calls."""
+    """Proxies a problem while counting the rows it evaluates."""
 
     def __init__(self, inner):
         self.inner = inner
@@ -429,9 +431,9 @@ class _CountingProblem:
     def __getattr__(self, name):
         return getattr(self.inner, name)
 
-    def error(self, x):
-        self.calls += 1
-        return self.inner.error(x)
+    def error(self, X):
+        self.calls += len(X)
+        return self.inner.error(X)
 
 
 class TestRun:
@@ -480,7 +482,9 @@ class TestRun:
         p = make_problem("sphere", 2)
         rec = run(DEFAULT, p, budget=3000, seed=2)
         assert rec.success
-        assert rec.hit_index == rec.evaluations_used
+        # the run pays for the whole final block of lambda offspring
+        lam = default_lambda(p.dimension)
+        assert rec.hit_index <= rec.evaluations_used < rec.hit_index + lam
         assert rec.best_error <= p.target_precision
 
     def test_failed_run_has_no_hit_index(self):
@@ -533,7 +537,7 @@ class TestRun:
              ([6, 12, 24, 48], 3, 2000, False)),
             # BIPOP, target hit inside the third restart
             (("00000000002", "rastrigin_separable", 2000, 0),
-             ([6, 12, 6, 6], 3, 1413, True)),
+             ([6, 12, 6, 6], 3, 1416, True)),
             (("00000000002", "rastrigin_rotated", 2000, 1),
              ([6, 12, 6, 6, 6, 24], 5, 2000, False)),
             # BIPOP small run drawn above the default lambda
@@ -544,10 +548,10 @@ class TestRun:
              ([6, 12, 6, 4], 3, 2000, False)),
             # threshold convergence under BIPOP, target inside a restart
             (("00000100002", "sphere", 2000, 0),
-             ([6, 12, 6, 6, 24, 7, 6], 6, 1579, True)),
+             ([6, 12, 6, 6, 24, 7, 6], 6, 1583, True)),
             # threshold + TPA + pairwise under IPOP, target inside a restart
             (("00000111001", "rastrigin_separable", 2000, 0),
-             ([6, 12, 24], 2, 1997, True)),
+             ([6, 12, 24], 2, 1998, True)),
         ],
     )
     def test_restart_schedule_pinned(self, monkeypatch, case, expected):
@@ -571,8 +575,8 @@ class TestRun:
             target_precision = 1e-8
             function_id = "nasty"
 
-            def error(self, x):
-                return float("nan") if x[0] > 0 else float(x @ x)
+            def error(self, X):
+                return np.where(X[:, 0] > 0, np.nan, (X * X).sum(axis=1))
 
         rec = run(DEFAULT, NastyProblem(), budget=100, seed=0, target=0.0)
         assert rec.evaluations_used == 100
@@ -582,3 +586,58 @@ class TestRun:
         p = make_problem("sphere", 2)
         rec = run("00000000000", p, budget=50, seed=0)
         assert rec.config == "00000000000"
+
+
+class _BlockLog:
+    """Proxies a problem while logging each block's values."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.blocks: list[np.ndarray] = []
+
+    def __getattr__(self, name):
+        return getattr(self.inner, name)
+
+    def error(self, X):
+        values = self.inner.error(X)
+        self.blocks.append(np.array(values))
+        return values
+
+
+_STRUCTURES = st.tuples(
+    *(st.integers(0, count - 1) for count in CATALOG.option_counts)
+).map(lambda genes: "".join(map(str, genes)))
+
+
+@settings(max_examples=200)
+@given(
+    structure=_STRUCTURES,
+    function=st.sampled_from(sorted(FUNCTIONS)),
+    dim=st.sampled_from([2, 3, 5]),
+    budget=st.integers(1, 400),
+    target=st.sampled_from([1e-8, 1e-2, 1.0]),
+    seed=st.integers(0, 2**16),
+)
+def test_block_accounting(structure, function, dim, budget, target, seed):
+    log = _BlockLog(make_problem(function, dim))
+    rec = run(structure, log, budget, seed, target=target,
+              record_trajectory=True, record_generations=True)
+    assert rec.evaluations_used <= budget
+    assert sum(map(len, log.blocks)) == rec.evaluations_used
+    assert rec.success == (rec.best_error <= target)
+    if rec.success:
+        assert 0 <= rec.evaluations_used - rec.hit_index < len(log.blocks[-1])
+    # every charged row, in order, is on the trajectory
+    values = np.concatenate(log.blocks)
+    values = np.where(np.isfinite(values), values, np.inf)
+    assert rec.trajectory.tobytes() == np.minimum.accumulate(values).tobytes()
+    assert len(rec.trajectory) == rec.evaluations_used
+    assert (np.diff(rec.trajectory) <= 0).all()
+    assert rec.trajectory[-1] == rec.best_error
+    again = run(structure, make_problem(function, dim), budget, seed,
+                target=target, record_trajectory=True, record_generations=True)
+    assert (again.evaluations_used, again.best_error, again.hit_index,
+            again.restarts, again.generation_best_f) == (
+        rec.evaluations_used, rec.best_error, rec.hit_index, rec.restarts,
+        rec.generation_best_f)
+    assert again.trajectory.tobytes() == rec.trajectory.tobytes()

@@ -1,4 +1,5 @@
 import math
+import os
 
 import numpy as np
 import pytest
@@ -6,8 +7,9 @@ from scipy.integrate import quad
 
 from modcmaes import evaluation
 from modcmaes.benchmarks import make_problem
-from modcmaes.core import RunRecord
+from modcmaes.core import ENGINE_VERSION, RunRecord
 from modcmaes.evaluation import (
+    CACHE_HEADER,
     FitnessSummary,
     MalformedInputError,
     ResultsCache,
@@ -58,6 +60,11 @@ class TestComputeErt:
     def test_no_success_is_none(self):
         runs = [_rec(5000, None, err=2.0, seed=i) for i in range(3)]
         assert compute_ert(runs) is None
+
+    def test_success_counts_up_to_its_hit_index(self):
+        # the rest of the block that reached the target is not counted
+        runs = [_rec(506, 500, err=0.0), _rec(5000, None, err=2.0, seed=1)]
+        assert compute_ert(runs) == 5500.0
 
     def test_matches_brute_force_resummation(self):
         rng = np.random.default_rng(0)
@@ -360,7 +367,7 @@ class TestResultsCache:
         cache.append([_rec(400, None, seed=3)])
         back = cache.records()
         assert [(r.seed, r.hit_index) for r in back] == [(1, 100), (3, None)]
-        assert path.read_text().count("\n") == 2
+        assert path.read_text().count("\n") == 3  # the header and two records
 
     @pytest.mark.parametrize("line", [
         "00000000000\tsphere\t2\t9\t100",
@@ -377,7 +384,7 @@ class TestResultsCache:
         cache.append([_rec(100, 100, seed=2)])
         with pytest.raises(MalformedInputError) as exc:
             cache.records()
-        assert str(exc.value).startswith(f"{path}:2: ")
+        assert str(exc.value).startswith(f"{path}:3: ")  # line 1 is the header
 
     def test_append_after_torn_first_line(self, tmp_path):
         path = tmp_path / "cache.tsv"
@@ -385,4 +392,48 @@ class TestResultsCache:
         cache = ResultsCache(str(path))
         cache.append([_rec(100, 100, seed=1)])
         assert [r.seed for r in cache.records()] == [1]
-        assert path.read_text() == ResultsCache.format_record(_rec(100, 100, seed=1))
+        assert path.read_text() == CACHE_HEADER + ResultsCache.format_record(
+            _rec(100, 100, seed=1))
+
+    def test_header_written_once_and_records_round_trip(self, tmp_path):
+        path = tmp_path / "cache.tsv"
+        cache = ResultsCache(str(path))
+        recs = [_rec(506, 500, err=5e-324, seed=1), _rec(7, None, err=0.1, seed=2),
+                _rec(900, None, err=math.inf, seed=3)]
+        cache.append(recs[:1])
+        cache.append(recs[1:])
+        text = path.read_text()
+        assert text.startswith(CACHE_HEADER)
+        assert text.count(CACHE_HEADER) == 1
+        assert f"engine_version={ENGINE_VERSION}" in CACHE_HEADER
+        assert cache.records() == recs
+
+    def test_reading_never_writes(self, tmp_path):
+        missing = tmp_path / "missing.tsv"
+        assert ResultsCache(str(missing)).records() == []
+        assert not missing.exists()
+        path = tmp_path / "cache.tsv"
+        ResultsCache(str(path)).append([_rec(100, 100, seed=1)])
+        before = (path.read_bytes(), os.stat(path).st_mtime_ns)
+        for _ in range(2):
+            assert [r.seed for r in ResultsCache(str(path)).records()] == [1]
+        assert (path.read_bytes(), os.stat(path).st_mtime_ns) == before
+
+    @pytest.mark.parametrize("first, found", [
+        (ResultsCache.format_record(_rec(100, 100, seed=1)), "1 (no header)"),
+        ("#modcmaes results cache\tengine_version=1\n", "1"),
+        ("#modcmaes results cache\tengine_version=3\n", "3"),
+    ], ids=["headerless", "version-1", "version-3"])
+    def test_other_engine_version_refused(self, tmp_path, first, found):
+        path = tmp_path / "cache.tsv"
+        path.write_text(first + ResultsCache.format_record(_rec(9, None, seed=2)))
+        before = path.read_bytes()
+        cache = ResultsCache(str(path))
+        for action in (cache.records, lambda: cache.append([_rec(5, 5, seed=3)])):
+            with pytest.raises(MalformedInputError) as exc:
+                action()
+            message = str(exc.value)
+            assert message.startswith(f"{path}:1: ")
+            assert f"engine version {found};" in message
+            assert f"version {ENGINE_VERSION} " in message
+        assert path.read_bytes() == before
