@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """The mutation base samplers, decorated and undecorated.
 
-Shows mirrored pairs, Gram-Schmidt orthogonalized groups, and the
+Shows mirrored pairs, QR-orthonormalized groups, and the
 quasi-random bases (Sobol, Halton) pushed through the inverse normal
 CDF, with moment checks against the standard normal.
 """

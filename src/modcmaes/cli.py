@@ -442,11 +442,14 @@ def positive_int(text: str) -> int:
 
 def free_genes(text: str) -> set[int]:
     """argparse type for ``--free 1,2,3``: the 1-based gene positions
-    become the set of 0-based free genes; every other gene is 0."""
+    become the set of 0-based free genes; every other gene is 0. At
+    least one position is required."""
     tokens = [tok.strip() for tok in text.split(",") if tok.strip()]
-    if not all(tok.isdecimal() and 1 <= int(tok) <= 11 for tok in tokens):
+    if not tokens or not all(
+            tok.isdecimal() and 1 <= int(tok) <= 11 for tok in tokens):
         raise argparse.ArgumentTypeError(
-            f"gene positions must be >= 1 and <= 11, got {text!r}"
+            f"one or more gene positions, each must be >= 1 and <= 11, "
+            f"got {text!r}"
         )
     return {int(tok) - 1 for tok in tokens}
 

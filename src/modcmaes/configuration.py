@@ -165,20 +165,18 @@ def decode(text: str) -> ConfigurationVector:
     """Parse an 11-digit string into a :class:`ConfigurationVector`.
 
     Raises :class:`ConfigFormatError` on wrong length and
-    :class:`ConfigRangeError` (with a 1-based position) on an invalid
-    digit.
+    :class:`ConfigRangeError` (with a 1-based position) on a character
+    that is not an ASCII digit or a digit outside its module's options.
     """
     if len(text) != 11:
         raise ConfigFormatError(
             f"configuration string must have 11 digits, got {len(text)}"
         )
-    genes = []
-    for i, ch in enumerate(text):
-        count = CATALOG.option_counts[i]
-        if not "0" <= ch <= "9":  # str.isdigit also takes "²" and "٠"
-            raise ConfigRangeError(i + 1, -1, count)
-        genes.append(int(ch))
-    return ConfigurationVector(tuple(genes))
+    if not (text.isascii() and text.isdigit()):  # isdigit alone takes "²"
+        i = next(i for i, ch in enumerate(text) if not "0" <= ch <= "9")
+        raise ConfigRangeError(i + 1, -1, CATALOG.option_counts[i])
+    # ConfigurationVector checks each digit against its option range.
+    return ConfigurationVector(tuple(map(int, text)))
 
 
 def encode(cfg: ConfigurationVector) -> str:

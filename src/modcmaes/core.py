@@ -62,7 +62,7 @@ __all__ = [
 # The version of the engine's numerics. Bump it with every change that
 # can change a run's record, so that a results cache written by another
 # version is refused instead of read as this one's.
-ENGINE_VERSION = 2
+ENGINE_VERSION = 3
 
 # Two-point step-size adaptation constants: probe offset factor and
 # smoothing rate of the probe signal.

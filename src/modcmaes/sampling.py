@@ -4,25 +4,25 @@ The ES engine consumes batches of standard-normal vectors. The base
 stream is either a seeded Gaussian generator or a low-discrepancy
 sequence (Sobol or Halton) pushed through the inverse normal CDF. Two
 decorations can be stacked on top of any base: orthonormalization of
-each freshly drawn group (Gram-Schmidt, lengths restored to the raw
-norms) and mirroring (every second vector is the negation of the one
-before it).
+each freshly drawn group (the Q of a QR with R's diagonal made
+non-negative, which are Gram-Schmidt's directions, with lengths
+restored to the raw norms) and mirroring (every second vector is the
+negation of the one before it).
 
-Both array paths return the same doubles, bit for bit, as their scalar
-definitions. Gram-Schmidt runs on a stack of groups as a wavefront:
-once row j of every group is normalized, it is projected out of all
-later rows of all groups in one call, with the same per-row BLAS dot
-products as a row-by-row loop. Halton coordinates run the digit loop
-of :func:`radical_inverse` elementwise over (count, D); the low digits
-of each index are read from a small per-base table of the loop's
-partial sums, memoized on the tuple of bases, and the loop adds only
-the high digits.
+A stack of groups is orthonormalized by one :func:`numpy.linalg.qr`
+call, which gives each group the same doubles as a QR of that group
+alone. Halton coordinates run the digit loop of :func:`radical_inverse`
+elementwise over (count, D), with the same doubles as the scalar
+definition; the low digits of each index are read from a small per-base
+table of the loop's partial sums, memoized on the tuple of bases, and
+the loop adds only the high digits.
 
 A :class:`Sampler` makes batches ahead: while the count of its calls
-repeats, one refill draws and decorates the batches of many calls in
-one stacked pass, so the wavefront's per-row calls are shared. The
-stream and every returned double are unchanged; a call with another
-count drops the unserved batches and reads their raw rows first.
+repeats, one refill draws the raw rows of many calls with one base
+draw, and orthonormalizes them with one QR for the full blocks and one
+for the remainder groups. Every returned double is the one a call
+would get by itself; a call with another count drops the unserved
+batches and reads their raw rows first.
 """
 
 from __future__ import annotations
@@ -194,36 +194,21 @@ def gaussian_transform(u: np.ndarray) -> np.ndarray:
 
 
 def _orthonormalize(groups: np.ndarray) -> np.ndarray:
-    """Modified Gram-Schmidt with re-orthogonalization, on a stack of groups.
+    """Orthonormalize the rows of each group, at their raw lengths.
 
-    ``groups`` has shape (k, n, D). The rows of each group are replaced
-    by mutually orthogonal vectors, each rescaled back to the Euclidean
-    norm of the corresponding raw row so that length statistics match
-    the plain base sampler. Row j of every group is normalized, then
-    projected out of all later rows of every group at once; each row
-    sees the same floating-point operations, in the same order, as in a
-    row-by-row loop over one group.
+    ``groups`` has shape (k, n, D) with n <= D. One QR of the stacked,
+    transposed groups gives each group's Gram-Schmidt directions once
+    every column of Q is flipped so that R's diagonal is non-negative;
+    row j is then rescaled to the Euclidean norm of raw row j. A row
+    whose R diagonal is exactly 0, such as a zero row, keeps its raw
+    value.
     """
-    q = groups.astype(float, copy=True)
+    q, r = np.linalg.qr(groups.transpose(0, 2, 1))
+    diag = np.diagonal(r, axis1=-2, axis2=-1)[..., None]
     # what np.linalg.norm(groups, axis=-1) evaluates, without its overhead
-    norms = np.sqrt(np.add.reduce(groups * groups, axis=-1))
-    n = q.shape[1]
-    for _ in range(2):  # twice is enough for ~1e-16 off-diagonals
-        for j in range(n):
-            qj = q[:, j]
-            # sqrt of the per-row BLAS dot, as 1-D np.linalg.norm computes it
-            nj = np.sqrt(np.matmul(qj[:, None, :], qj[:, :, None])[:, 0, 0])
-            if not nj.all():
-                # Degenerate draw; keep the raw direction untouched.
-                zero = nj == 0.0
-                qj[zero] = groups[zero, j]
-                nj[zero] = np.where(norms[zero, j] > 0, norms[zero, j], 1.0)
-            qj /= nj[:, None]
-            if j + 1 < n:
-                rest = q[:, j + 1:]
-                coef = np.matmul(rest[..., None, :], qj[:, None, :, None])
-                rest -= coef[..., 0] * qj[:, None, :]
-    return q * norms[..., None]
+    norms = np.sqrt(np.add.reduce(groups * groups, axis=-1))[..., None]
+    scaled = q.transpose(0, 2, 1) * np.where(diag < 0, -norms, norms)
+    return np.where(diag == 0, groups, scaled)
 
 
 # Raw values one refill may draw ahead of the calls it serves.
@@ -234,13 +219,15 @@ class Sampler:
     """Sequential stateful stream of mutation base vectors.
 
     One instance serves a single consumer; independent instances with
-    distinct seeds can run concurrently. ``next_batch`` applies
-    orthonormalization per freshly drawn group of the call and mirrors
-    pairs afterwards, so mirror images keep the orthogonality.
+    distinct seeds can run concurrently. ``next_batch`` orthonormalizes
+    each group of min(fresh rows, D) freshly drawn rows of the call (a
+    single-row group stays raw) and mirrors pairs afterwards, so mirror
+    images keep the orthogonality.
 
     Batches are made ahead (see the module docstring): a refill makes K
-    batches, where K starts at 1 and doubles with each refill for the
-    same count while the raw values drawn stay within ``_AHEAD_CAP``.
+    batches from one base draw and shares its QR calls among them, where
+    K starts at 1 and doubles with each refill for the same count while
+    the raw values drawn stay within ``_AHEAD_CAP``.
     """
 
     def __init__(self, spec: SamplerSpec):

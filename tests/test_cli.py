@@ -42,6 +42,8 @@ BASE = ["--function", "sphere", "--dim", "2", "--budget", "400"]
     ["bruteforce", "--free", "1", "--runs", "1", "--budget", "1",
      "--jobs", "-3"],
     ["ga", "--budget", "400", "--ga-runs", "0", "--out", "traces"],
+    ["bruteforce", "--free", ""],
+    ["bruteforce", "--free", ","],
 ])
 def test_budget_below_one_rejected(argv, tmp_path, capsys):
     cache = str(tmp_path / "cache.tsv")

@@ -39,12 +39,12 @@ PROBLEMS = (
 
 # The engine version the digests were computed under: a change that
 # moves them bumps ENGINE_VERSION and re-pins both.
-GOLDEN_ENGINE_VERSION = 2
+GOLDEN_ENGINE_VERSION = 3
 GOLDEN = {
-    "sphere-2": "2783e01a892e3d31d03cf3c358dbb2eea0596b88a5f265dfe2f82dd28c101cf4",
-    "rastrigin_rotated-5": "3ff1d148a3158cb4b424fdc4e062e412c5066955bca24b35599721bb5b4b9b59",
-    "gallagher-3": "4aa8d041325e976f236931da6e0b78ac6a1b33fce853f399613224f7a18270eb",
-    "ellipsoid_rotated-10": "ca04227f6afad75fe8473ecdb0e1b9a584972211ab546074c641f0b048734370",
+    "sphere-2": "3f163611db2b98f4cf7928a5acfdca512e83b0c724a454144a3c5d40e7c2303b",
+    "rastrigin_rotated-5": "778763cd75ede6acbffacf012cb622f6a0026b9369a99c18d57325e1d35eb99c",
+    "gallagher-3": "8934e407aef4b8e3c66104b4706af9693d77da004c422e51c6b53112f0d5de36",
+    "ellipsoid_rotated-10": "c225cfbbb35bd069716199787c01415446c872b3174384def5d38be3f8215745",
 }
 
 

@@ -421,9 +421,9 @@ class TestResultsCache:
 
     @pytest.mark.parametrize("first, found", [
         (ResultsCache.format_record(_rec(100, 100, seed=1)), "1 (no header)"),
-        ("#modcmaes results cache\tengine_version=1\n", "1"),
-        ("#modcmaes results cache\tengine_version=3\n", "3"),
-    ], ids=["headerless", "version-1", "version-3"])
+        *((f"#modcmaes results cache\tengine_version={v}\n", str(v))
+          for v in (ENGINE_VERSION - 1, ENGINE_VERSION + 1)),
+    ], ids=["headerless", "version-1", "version+1"])
     def test_other_engine_version_refused(self, tmp_path, first, found):
         path = tmp_path / "cache.tsv"
         path.write_text(first + ResultsCache.format_record(_rec(9, None, seed=2)))

@@ -211,7 +211,7 @@ def test_package_import_leaves_scipy_stats_unloaded():
 
 
 def _gram_schmidt_rowwise(group):
-    """Reference: modified Gram-Schmidt over one group, row by row."""
+    """Tolerance oracle: modified Gram-Schmidt over one group, row by row."""
     q = group.astype(float, copy=True)
     norms = np.linalg.norm(group, axis=1)
     for _ in range(2):
@@ -226,6 +226,21 @@ def _gram_schmidt_rowwise(group):
     return q * norms[:, None]
 
 
+def _qr_group(group):
+    """Reference: the QR of one group, Q's columns signed by R's diagonal.
+
+    Row j becomes column j of Q at the raw norm of row j; a row whose R
+    diagonal is 0 keeps its raw value.
+    """
+    q, r = np.linalg.qr(group.T)
+    norms = np.linalg.norm(group, axis=1)
+    out = group.astype(float, copy=True)
+    for j in range(len(group)):
+        if r[j, j] != 0.0:
+            out[j] = q[:, j] * (norms[j] if r[j, j] > 0 else -norms[j])
+    return out
+
+
 def _halton_pointwise(start, count, dimension):
     """Reference: one radical_inverse call per Halton coordinate."""
     primes = first_primes(dimension)
@@ -234,7 +249,7 @@ def _halton_pointwise(start, count, dimension):
     )
 
 
-def _reference_batch(spec, fresh):
+def _reference_batch(spec, fresh, decorate=_qr_group):
     """Reference decoration of the fresh draws of one next_batch call."""
     fresh_n, d = fresh.shape
     if spec.orthogonal:
@@ -243,13 +258,21 @@ def _reference_batch(spec, fresh):
         for start in range(0, fresh_n, block):
             stop = min(start + block, fresh_n)
             if stop - start > 1:
-                fresh[start:stop] = _gram_schmidt_rowwise(fresh[start:stop])
+                fresh[start:stop] = decorate(fresh[start:stop])
     if not spec.mirrored:
         return fresh
     batch = np.empty((2 * fresh_n, d))
     batch[0::2] = fresh
     batch[1::2] = -fresh
     return batch
+
+
+def _raw_pointwise(spec, count):
+    """The first ``count`` raw rows of a stream, Halton point by point."""
+    if spec.base != "halton":
+        return Sampler(spec)._raw(count)
+    start = 1 + int(np.random.default_rng(spec.seed).integers(1 << 16))
+    return gaussian_transform(_halton_pointwise(start, count, spec.dimension))
 
 
 @pytest.mark.parametrize("base", ["gaussian", "sobol", "halton"])
@@ -261,14 +284,27 @@ def test_next_batch_bit_identical_to_rowwise_reference(base):
                            orthogonal=orthogonal, dimension=d, seed=d)
         for count in sorted({1, d - 1, d, d + 1, 3 * d + 2, 400}):
             fresh_n = (count + 1) // 2 if mirrored else count
-            if base == "halton":
-                start = 1 + int(np.random.default_rng(d).integers(1 << 16))
-                raw = gaussian_transform(_halton_pointwise(start, fresh_n, d))
-            else:
-                raw = Sampler(spec)._raw(fresh_n)
-            want = _reference_batch(spec, raw)[:count]
+            want = _reference_batch(spec, _raw_pointwise(spec, fresh_n))[:count]
             got = Sampler(spec).next_batch(count)
             assert np.array_equal(got, want), (spec, count)
+
+
+@pytest.mark.parametrize("base", ["gaussian", "sobol", "halton"])
+@pytest.mark.parametrize("mirrored", [False, True])
+def test_orthogonal_groups_match_gram_schmidt(base, mirrored):
+    """Each decorated group is Gram-Schmidt's within 1e-10 of its raw norm."""
+    for d in (2, 3, 5, 10, 20):
+        spec = SamplerSpec(base=base, mirrored=mirrored, orthogonal=True,
+                           dimension=d, seed=d)
+        for count in range(1, 3 * d + 3):
+            fresh_n = (count + 1) // 2 if mirrored else count
+            raw = _raw_pointwise(spec, fresh_n)
+            want = _reference_batch(spec, raw, _gram_schmidt_rowwise)[:count]
+            got = Sampler(spec).next_batch(count)
+            plain = _reference_batch(spec, raw, lambda group: group)[:count]
+            scale = np.linalg.norm(plain, axis=1)
+            assert np.all(np.abs(got - want).max(axis=1) <= 1e-10 * scale), (
+                spec, count)
 
 
 def test_orthogonal_degenerate_group_bit_identical():
