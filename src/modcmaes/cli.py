@@ -283,6 +283,8 @@ def _read_trace(path: str) -> GARunTrace:
                     f"ert and fce, tab-separated, got {line.rstrip()!r}"
                 ) from None
             trace.entries.append(entry)
+    if not trace.entries:
+        raise MalformedInputError(f"{path}:2: no generation line")
     return trace
 
 
@@ -440,6 +442,14 @@ def positive_int(text: str) -> int:
     return value
 
 
+def non_negative_int(text: str) -> int:
+    """argparse type for seeds: an integer of at least 0."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def free_genes(text: str) -> set[int]:
     """argparse type for ``--free 1,2,3``: the 1-based gene positions
     become the set of 0-based free genes; every other gene is 0. At
@@ -470,7 +480,7 @@ def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--budget", type=positive_int, default=None,
                    help="evaluations per run (default 1000*dim)")
     p.add_argument("--target", type=float, default=None)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=non_negative_int, default=0)
     p.add_argument("--jobs", type=positive_int, default=1)
     p.add_argument("--cache", required=True)
 
@@ -526,7 +536,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.command == "ga" and args.ga_budget < args.ga_lambda:
+        parser.error(f"--ga-budget must be >= --ga-lambda, got "
+                     f"{args.ga_budget} < {args.ga_lambda}")
     try:
         return args.func(args)
     except MalformedInputError as exc:

@@ -294,7 +294,8 @@ class StrategyParams:
                 orthogonal=cfg.orthogonal,
                 dimension=d,
                 seed=sampler_seed,
-            )
+            ),
+            self.lambda_eff,
         )
 
         # Local-run stop bookkeeping.
@@ -481,22 +482,6 @@ def _local_stop(params: StrategyParams, gen_best: float) -> str | None:
     return None
 
 
-def _mutation_vectors(params: StrategyParams, use_threshold: bool) -> np.ndarray:
-    Z = params.sampler.next_batch(params.lambda_eff)
-    if use_threshold:
-        # Only rows of zero length go through the redraw loop.
-        live = np.matmul(Z[:, None, :], Z[:, :, None])[:, 0, 0] > 0.0
-        Z[live] = apply_threshold(Z[live], params.threshold)
-        for i in np.flatnonzero(~live):
-            for _ in range(16):  # a zero row is redrawn, in row order
-                try:
-                    Z[i] = apply_threshold(Z[i], params.threshold)
-                    break
-                except ZeroMutationError:
-                    Z[i] = params.sampler.next_batch(1)[0]
-    return Z
-
-
 def _run_local(
     cfg: ConfigurationVector,
     params: StrategyParams,
@@ -506,9 +491,10 @@ def _run_local(
 ) -> str:
     """Inner generation loop; returns the local stop criterion that fired."""
     while True:
+        Z = params.sampler.next_batch()
         if cfg.threshold:
             params.update_threshold(acct.used, budget)
-        Z = _mutation_vectors(params, cfg.threshold)
+            Z = apply_threshold(Z, params.threshold)
         # A stacked matrix-vector product: the same bits as B @ (d * z)
         # row by row, which (Z * d) @ B.T is not.
         Y = np.matmul(params.B, (Z * params.d_sqrt)[:, :, None])[:, :, 0]

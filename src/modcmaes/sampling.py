@@ -17,12 +17,11 @@ definition; the low digits of each index are read from a small per-base
 table of the loop's partial sums, memoized on the tuple of bases, and
 the loop adds only the high digits.
 
-A :class:`Sampler` makes batches ahead: while the count of its calls
-repeats, one refill draws the raw rows of many calls with one base
-draw, and orthonormalizes them with one QR for the full blocks and one
-for the remainder groups. Every returned double is the one a call
-would get by itself; a call with another count drops the unserved
-batches and reads their raw rows first.
+A :class:`Sampler` serves batches of one size, fixed when it is built,
+and makes them ahead: one refill draws the raw rows of many calls with
+one base draw, and orthonormalizes them with one QR for the full blocks
+and one for the remainder groups. Every returned double is the one a
+call would get by itself.
 """
 
 from __future__ import annotations
@@ -216,7 +215,7 @@ _AHEAD_CAP = 2**14
 
 
 class Sampler:
-    """Sequential stateful stream of mutation base vectors.
+    """Sequential stateful stream of mutation base vectors, ``count`` a call.
 
     One instance serves a single consumer; independent instances with
     distinct seeds can run concurrently. ``next_batch`` orthonormalizes
@@ -226,18 +225,18 @@ class Sampler:
 
     Batches are made ahead (see the module docstring): a refill makes K
     batches from one base draw and shares its QR calls among them, where
-    K starts at 1 and doubles with each refill for the same count while
-    the raw values drawn stay within ``_AHEAD_CAP``.
+    K starts at 1 and doubles with each refill while the raw values
+    drawn stay within ``_AHEAD_CAP``.
     """
 
-    def __init__(self, spec: SamplerSpec):
+    def __init__(self, spec: SamplerSpec, count: int):
+        if count < 1:
+            raise ValueError("count must be >= 1")
         self.spec = spec
+        self.count = count
         d = spec.dimension
-        # Raw rows not yet consumed by a served batch, and the decorated
-        # batches made from their head.
-        self._rows = np.empty((0, d))
-        self._ahead = np.empty((0, 0, d))
-        self._count = 0
+        self._fresh_n = (count + 1) // 2 if spec.mirrored else count
+        self._ahead = np.empty((0, count, d))  # batches made, not served
         self._k = 0
         if spec.base == "gaussian":
             self._rng = np.random.default_rng(spec.seed)
@@ -273,24 +272,14 @@ class Sampler:
         self._index += count
         return gaussian_transform(u)
 
-    def _fresh_n(self, count: int) -> int:
-        return (count + 1) // 2 if self.spec.mirrored else count
-
-    def _refill(self, count: int) -> None:
-        """Make the next K batches of ``count`` vectors in one pass."""
-        spec, d = self.spec, self.spec.dimension
-        fresh_n = self._fresh_n(count)
+    def _refill(self) -> None:
+        """Make the next K batches in one pass."""
+        spec, d, fresh_n = self.spec, self.spec.dimension, self._fresh_n
         k = self._k = max(1, min(2 * self._k, _AHEAD_CAP // (fresh_n * d)))
-        short = k * fresh_n - len(self._rows)
-        if short == k * fresh_n:
-            self._rows = self._raw(short)
-        elif short > 0:
-            self._rows = np.concatenate((self._rows, self._raw(short)))
-        fresh = self._rows[: k * fresh_n].reshape(k, fresh_n, d)
+        fresh = self._raw(k * fresh_n).reshape(k, fresh_n, d)
         if spec.orthogonal:
             block = min(fresh_n, d)
             full = fresh_n - fresh_n % block
-            fresh = fresh.copy()  # the raw rows stay raw
             if block > 1:
                 fresh[:, :full] = _orthonormalize(
                     fresh[:, :full].reshape(-1, block, d)
@@ -301,23 +290,17 @@ class Sampler:
             batch = np.empty((k, 2 * fresh_n, d))
             batch[:, 0::2] = fresh
             batch[:, 1::2] = -fresh
-            fresh = batch[:, :count]
+            fresh = batch[:, :self.count]
         self._ahead = fresh
 
-    def next_batch(self, count: int) -> np.ndarray:
-        """Return ``count`` vectors as a (count, D) array."""
-        if count < 1:
-            raise ValueError("count must be >= 1")
-        if count != self._count:
-            # Drop the unserved batches; their raw rows stay next in line.
-            self._count, self._k, self._ahead = count, 0, self._ahead[:0]
+    def next_batch(self) -> np.ndarray:
+        """Return the next ``count`` vectors as a (count, D) array."""
         if not len(self._ahead):
-            self._refill(count)
+            self._refill()
         batch, self._ahead = self._ahead[0], self._ahead[1:]
-        self._rows = self._rows[self._fresh_n(count):]
         return batch
 
 
 def next_batch(spec: SamplerSpec, count: int) -> np.ndarray:
     """Draw ``count`` vectors from a fresh stream built from ``spec``."""
-    return Sampler(spec).next_batch(count)
+    return Sampler(spec, count).next_batch()

@@ -55,6 +55,32 @@ def test_budget_below_one_rejected(argv, tmp_path, capsys):
     assert not os.path.exists(cache)
 
 
+@pytest.mark.parametrize("argv", [
+    ["run", "--config", "00000000000", "--seed", "-1"],
+    ["ga", "--seed", "-3", "--out", "traces"],
+])
+def test_negative_seed_rejected(argv, tmp_path, capsys):
+    cache = str(tmp_path / "cache.tsv")
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, *BASE, "--cache", cache])
+    assert exc.value.code == 2
+    assert "--seed: must be >= 0, got " in capsys.readouterr().err
+    assert not os.path.exists(cache)
+
+
+def test_ga_budget_below_lambda_rejected(tmp_path, capsys):
+    cache, out_dir = str(tmp_path / "cache.tsv"), str(tmp_path / "traces")
+    with pytest.raises(SystemExit) as exc:
+        main(["ga", *BASE, "--cache", cache, "--out", out_dir,
+              "--ga-budget", "1", "--ga-lambda", "2"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith(
+        "error: --ga-budget must be >= --ga-lambda, got 1 < 2\n")
+    assert not os.path.exists(cache) and not os.path.exists(out_dir)
+
+
 class TestCmdRun:
     def test_appends_one_line_per_run(self, tmp_path, capsys):
         cache = str(tmp_path / "cache.tsv")
@@ -410,6 +436,17 @@ class TestRankReport:
         assert (code, out) == (2, "")
         assert err.startswith(f"{path}:3: ") and err.count("\n") == 1
 
+    def test_report_rank_rejects_trace_without_generations(
+        self, tmp_path, capsys
+    ):
+        cache, out_dir = self._warm(tmp_path, capsys, ["01100000000"])
+        path = os.path.join(out_dir, "trace_000.tsv")
+        with open(path, "w") as fh:
+            fh.write("generation\tbest_config\tert\tfce\n")
+        code, out, err = self._rank(cache, out_dir, "1,2,3", capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"{path}:2: ") and err.count("\n") == 1
+
     def test_report_rank_rejects_invalid_ga_best(self, tmp_path, capsys):
         # A complete cache: the trace is at fault, not the cache.
         cache, out_dir = self._warm(tmp_path, capsys, ["0000000000X"])
@@ -564,7 +601,9 @@ class TestConvergenceReport:
         ("generation\tbest_config\tert\tfce\n1\t00000000000\tNA\tx\n", 2),
         ("generation\tbest_config\tert\tfce\n1\t00000000000\tNA\t1.0\n"
          "two\t00000000000\tNA\t1.0\n", 3),
-    ], ids=["header", "three-fields", "non-numeric-fce", "non-numeric-generation"])
+        ("generation\tbest_config\tert\tfce\n", 2),
+    ], ids=["header", "three-fields", "non-numeric-fce", "non-numeric-generation",
+            "no-generation"])
     def test_malformed_trace_names_file_and_line(
         self, tmp_path, capsys, text, line
     ):

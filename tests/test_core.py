@@ -11,7 +11,6 @@ from modcmaes.core import (
     SelectionShortfallError,
     StrategyParams,
     ZeroMutationError,
-    _mutation_vectors,
     _symmetrize,
     adapt,
     apply_threshold,
@@ -132,56 +131,6 @@ class TestApplyThreshold:
         with pytest.raises(ZeroMutationError):
             apply_threshold(Z, 1.0)
         assert apply_threshold(Z, 0.0) is Z
-
-
-class _ScriptedSampler:
-    """Serves fixed batches in order and records the requested counts."""
-
-    def __init__(self, batches):
-        self.batches = [np.asarray(b, float) for b in batches]
-        self.counts = []
-
-    def next_batch(self, count):
-        self.counts.append(count)
-        batch = self.batches.pop(0)
-        assert len(batch) == count
-        return batch.copy()
-
-
-class TestMutationVectors:
-    def _params(self, batches, threshold=1.0):
-        p = _fresh_params(decode("00000100000"), dim=2)
-        p.lambda_eff = len(batches[0])
-        p.threshold = threshold
-        p.sampler = _ScriptedSampler(batches)
-        return p
-
-    def test_only_zero_rows_are_redrawn_in_row_order(self):
-        zero, short, long_ = [0.0, 0.0], [0.3, -0.4], [3.0, 4.0]
-        p = self._params([
-            [zero, short, long_, zero, short],
-            [zero], [[0.0, 0.5]],  # row 0: still zero, then short
-            [long_],  # row 3
-        ])
-        Z = _mutation_vectors(p, True)
-        assert p.sampler.counts == [5, 1, 1, 1]
-        assert np.array_equal(Z[0], [0.0, 1.5])
-        assert np.array_equal(Z[1], apply_threshold(np.array(short), 1.0))
-        assert np.array_equal(Z[2], long_)
-        assert np.array_equal(Z[3], long_)
-        assert np.array_equal(Z[4], Z[1])
-
-    def test_zero_row_gives_up_after_sixteen_tries(self):
-        p = self._params([[[0.0, 0.0], [3.0, 4.0]]] + [[[0.0, 0.0]]] * 16)
-        Z = _mutation_vectors(p, True)
-        assert p.sampler.counts == [2] + [1] * 16
-        assert np.array_equal(Z, [[0.0, 0.0], [3.0, 4.0]])
-
-    def test_zero_threshold_keeps_zero_rows(self):
-        p = self._params([[[0.0, 0.0], [0.3, 0.4]]], threshold=0.0)
-        Z = _mutation_vectors(p, True)
-        assert p.sampler.counts == [2]
-        assert np.array_equal(Z, [[0.0, 0.0], [0.3, 0.4]])
 
 
 class TestEvaluateOffspring:

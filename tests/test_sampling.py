@@ -6,8 +6,6 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 from scipy.special import erf
 
 import modcmaes
@@ -173,9 +171,9 @@ def test_quasi_stream_deterministic_and_seed_dependent(base):
 
 
 def test_stream_continues_across_calls():
-    s = Sampler(SamplerSpec(base="gaussian", dimension=2, seed=4))
-    first = s.next_batch(3)
-    second = s.next_batch(3)
+    s = Sampler(SamplerSpec(base="gaussian", dimension=2, seed=4), 3)
+    first = s.next_batch()
+    second = s.next_batch()
     assert not np.array_equal(first, second)
     combined = next_batch(SamplerSpec(base="gaussian", dimension=2, seed=4), 6)
     assert np.allclose(np.vstack([first, second]), combined)
@@ -270,7 +268,7 @@ def _reference_batch(spec, fresh, decorate=_qr_group):
 def _raw_pointwise(spec, count):
     """The first ``count`` raw rows of a stream, Halton point by point."""
     if spec.base != "halton":
-        return Sampler(spec)._raw(count)
+        return Sampler(spec, count)._raw(count)
     start = 1 + int(np.random.default_rng(spec.seed).integers(1 << 16))
     return gaussian_transform(_halton_pointwise(start, count, spec.dimension))
 
@@ -285,7 +283,7 @@ def test_next_batch_bit_identical_to_rowwise_reference(base):
         for count in sorted({1, d - 1, d, d + 1, 3 * d + 2, 400}):
             fresh_n = (count + 1) // 2 if mirrored else count
             want = _reference_batch(spec, _raw_pointwise(spec, fresh_n))[:count]
-            got = Sampler(spec).next_batch(count)
+            got = Sampler(spec, count).next_batch()
             assert np.array_equal(got, want), (spec, count)
 
 
@@ -300,7 +298,7 @@ def test_orthogonal_groups_match_gram_schmidt(base, mirrored):
             fresh_n = (count + 1) // 2 if mirrored else count
             raw = _raw_pointwise(spec, fresh_n)
             want = _reference_batch(spec, raw, _gram_schmidt_rowwise)[:count]
-            got = Sampler(spec).next_batch(count)
+            got = Sampler(spec, count).next_batch()
             plain = _reference_batch(spec, raw, lambda group: group)[:count]
             scale = np.linalg.norm(plain, axis=1)
             assert np.all(np.abs(got - want).max(axis=1) <= 1e-10 * scale), (
@@ -316,9 +314,9 @@ def test_orthogonal_degenerate_group_bit_identical():
         np.random.default_rng(2).standard_normal((4, 3)),
     ])
     spec = SamplerSpec(base="gaussian", orthogonal=True, dimension=3, seed=0)
-    sampler = Sampler(spec)
+    sampler = Sampler(spec, 7)
     sampler._raw = lambda count: raw[:count].copy()
-    got = sampler.next_batch(7)
+    got = sampler.next_batch()
     assert np.array_equal(got, _reference_batch(spec, raw))
     assert np.array_equal(got[:3], [[1.0, 0, 0], [2.0, 0, 0], [0, 0, 0]])
 
@@ -332,70 +330,56 @@ def test_halton_bit_identical_past_table_width():
             assert np.array_equal(quasi_uniform("halton", d, index), want)
     with pytest.raises(ValueError):
         quasi_uniform("halton", 2, 2**63)
-    s = Sampler(SamplerSpec(base="halton", dimension=3, seed=1))
+    s = Sampler(SamplerSpec(base="halton", dimension=3, seed=1), 50)
     s._index = 10**12
-    got = s.next_batch(50)
+    got = s.next_batch()
     want = gaussian_transform(_halton_pointwise(10**12, 50, 3))
     assert np.array_equal(got, want)
 
 
-# Call plans for the look-ahead: about 80% of the calls ask for the
-# run's lambda, 10% for a single vector (a threshold redraw) and 10%
-# for some other count.
-_CALL_PLANS = st.tuples(
-    st.integers(0, 2**32 - 1),
-    st.integers(1, 24),
-    st.lists(st.tuples(st.integers(0, 9), st.integers(1, 30)),
-             min_size=10, max_size=40),
-)
+def _recording(sampler):
+    """The row counts of the sampler's base draws, recorded as it draws."""
+    raw, sizes = sampler._raw, []
+    sampler._raw = lambda count: sizes.append(count) or raw(count)
+    return sizes
 
 
 @pytest.mark.parametrize("base", ["gaussian", "sobol", "halton"])
 @pytest.mark.parametrize("mirrored", [False, True])
 @pytest.mark.parametrize("orthogonal", [False, True])
 @pytest.mark.parametrize("d", [1, 2, 3, 5, 10, 20])
-@settings(max_examples=4)
-@given(plan=_CALL_PLANS)
-def test_look_ahead_matches_per_call_draws(base, mirrored, orthogonal, d,
-                                           plan):
+def test_look_ahead_matches_per_call_draws(base, mirrored, orthogonal, d):
     """Batches made ahead are the bytes each call would draw by itself."""
-    seed, lam, picks = plan
-    spec = SamplerSpec(base=base, mirrored=mirrored, orthogonal=orthogonal,
-                       dimension=d, seed=seed)
-    sampler, reference = Sampler(spec), Sampler(spec)
-    for pick, other in picks:
-        count = lam if pick < 8 else 1 if pick == 8 else other
+    for count in sorted({1, 2, d, d + 1, 2 * d + 3, 50}):
+        spec = SamplerSpec(base=base, mirrored=mirrored, orthogonal=orthogonal,
+                           dimension=d, seed=100 * d + count)
+        sampler, reference = Sampler(spec, count), Sampler(spec, count)
         fresh_n = (count + 1) // 2 if mirrored else count
-        want = _reference_batch(spec, reference._raw(fresh_n))[:count]
-        got = sampler.next_batch(count)
-        assert got.shape == want.shape
-        assert got.tobytes() == want.tobytes(), (spec, count)
+        # 70 calls span seven doubling refills, or the cap for large counts.
+        for call in range(70):
+            want = _reference_batch(spec, reference._raw(fresh_n))[:count]
+            got = sampler.next_batch()
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes(), (spec, count, call)
 
 
 def test_look_ahead_holds_at_most_the_cap():
     most = []
-    for d, counts in ((2, [6] * 3000 + [1, 6, 5] * 50),
-                      (20, [12] * 600 + [1000, 12, 12]),
-                      (5, [7, 1] * 100 + [4096] * 3)):
+    for d, count, calls in ((2, 6, 3000), (20, 12, 600), (5, 4096, 3)):
         sampler = Sampler(SamplerSpec(base="gaussian", mirrored=True,
-                                      dimension=d, seed=1))
-        held = 0
-        for count in counts:
-            sampler.next_batch(count)
-            held = max(held, sampler._rows.size)
-        most.append(held)
+                                      dimension=d, seed=1), count)
+        sizes = _recording(sampler)
+        for _ in range(calls):
+            sampler.next_batch()
+        most.append(max(sizes) * d)
     assert max(most) <= _AHEAD_CAP
-    # The cap is approached: K doubles while a count repeats.
+    # The cap is approached: K doubles with each refill.
     assert most[0] > _AHEAD_CAP // 2
 
 
 def test_look_ahead_draws_in_doubling_refills():
-    sampler = Sampler(SamplerSpec(base="halton", dimension=2, seed=3))
-    raw = sampler._raw
-    sizes = []
-    sampler._raw = lambda count: sizes.append(count) or raw(count)
+    sampler = Sampler(SamplerSpec(base="halton", dimension=2, seed=3), 1)
+    sizes = _recording(sampler)
     for _ in range(64):
-        sampler.next_batch(1)
+        sampler.next_batch()
     assert sizes == [1, 2, 4, 8, 16, 32, 64]
-    sampler.next_batch(3)  # a new count is served from the rows held
-    assert sizes[7:] == []
