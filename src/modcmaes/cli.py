@@ -288,13 +288,15 @@ def _read_trace(path: str) -> GARunTrace:
     return trace
 
 
-def _trace_paths(directory: str) -> list[str]:
-    if not os.path.isdir(directory):
-        return []
-    names = sorted(
-        n for n in os.listdir(directory) if n.startswith("trace_")
-    )
-    return [os.path.join(directory, n) for n in names]
+def _load_traces(directory: str) -> list[GARunTrace]:
+    """The ``trace_*`` files of ``directory`` in name order; when there
+    are none, say so on stderr (the caller exits 3)."""
+    names = os.listdir(directory) if os.path.isdir(directory) else []
+    traces = [_read_trace(os.path.join(directory, n))
+              for n in sorted(names) if n.startswith("trace_")]
+    if not traces:
+        print("no trace files found", file=sys.stderr)
+    return traces
 
 
 def _incomplete(summaries: Sequence[FitnessSummary | None], what: str) -> bool:
@@ -311,9 +313,8 @@ def report_rank(args, out=None) -> int:
         bf = [evaluator.cached(encode(cfg)) for cfg in enumerate_all(args.free)]
         if _incomplete(bf, "configurations"):
             return 3
-        traces = [_read_trace(p) for p in _trace_paths(args.traces)]
+        traces = _load_traces(args.traces)
         if not traces:
-            print("no trace files found", file=sys.stderr)
             return 3
         ga_summaries = [evaluator.cached(t.best_config) for t in traces]
     if _incomplete(ga_summaries, "GA best structures"):
@@ -332,8 +333,9 @@ def report_rank(args, out=None) -> int:
 
 def report_activation(
     winners: Sequence[tuple[ConfigurationVector, str]],
-) -> dict[str, list[str]]:
-    """Activation percentages of each module per group label.
+) -> tuple[list[str], dict[str, list[str]]]:
+    """The sorted group labels, and per module its activation
+    percentages in each group.
 
     ``winners`` pairs a configuration with its group label. Binary
     modules report the share of non-default activations; the two
@@ -356,8 +358,7 @@ def report_activation(
                 p2 = 100.0 * sum(1 for v in genes if v == 2) / n
                 row.append(f"{p1:.1f}/{p2:.1f}")
         table[entry.name] = row
-    table["__groups__"] = groups
-    return table
+    return groups, table
 
 
 def cmd_report_activation(args, out=None) -> int:
@@ -390,12 +391,9 @@ def cmd_report_activation(args, out=None) -> int:
                 raise MalformedInputError(
                     f"{where}: bad config or function: {exc}") from None
             winners.append((cfg, label))
-    try:
-        table = report_activation(winners)
-    except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
-    groups = table.pop("__groups__")
+    if not winners:
+        raise MalformedInputError(f"{args.winners}:2: no winner line")
+    groups, table = report_activation(winners)
     print("module\t" + "\t".join(groups), file=out)
     for name, row in table.items():
         print(name + "\t" + "\t".join(row), file=out)
@@ -418,9 +416,8 @@ def report_convergence(
 
 def cmd_report_convergence(args, out=None) -> int:
     out = out or sys.stdout
-    traces = [_read_trace(p) for p in _trace_paths(args.traces)]
+    traces = _load_traces(args.traces)
     if not traces:
-        print("no trace files found", file=sys.stderr)
         return 3
     print("generation\tmean_ert\tmean_fce", file=out)
     for gen, ert, fce in report_convergence(traces):

@@ -16,7 +16,7 @@ import os
 import re
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import cache, partial
+from functools import partial
 from typing import Iterator
 
 import numpy as np
@@ -231,15 +231,6 @@ def compare(
     return ComparisonResult(winner=winner, basis=basis, d=d, uncertainty=uncertainty)
 
 
-@cache
-def _betainc():
-    """scipy's ``betainc``, imported on first use: ``scipy.special`` is a
-    costly import, and an import statement per comparison costs 1 µs."""
-    from scipy.special import betainc
-
-    return betainc
-
-
 def welch_uncertainty(d: float, s_rel: float, n: int) -> float:
     """P(A and B indistinguishable) for relative distance d at n runs.
 
@@ -248,6 +239,8 @@ def welch_uncertainty(d: float, s_rel: float, n: int) -> float:
     returns the two-sided Welch tail probability 2*(1 - cdf_t(d/s_e))
     with 2n - 2 degrees of freedom. Equal means give exactly 1.
     """
+    from scipy.special import betainc  # costly import; comparisons only
+
     if n < 2:
         raise ValueError("n must be >= 2")
     if d < 0:
@@ -261,7 +254,7 @@ def welch_uncertainty(d: float, s_rel: float, n: int) -> float:
     df = 2 * n - 2
     # Two-sided tail of the t-distribution via the regularized
     # incomplete beta: 2*(1 - cdf(t)) = I_{df/(df+t^2)}(df/2, 1/2).
-    return float(_betainc()(df / 2.0, 0.5, df / (df + t * t)))
+    return float(betainc(df / 2.0, 0.5, df / (df + t * t)))
 
 
 def subsample_uncertainty(

@@ -103,11 +103,17 @@ def random_individual(
     return GAIndividual(r=ConfigurationVector(genes), p_m=P_INIT)
 
 
+# The fitness of every child whose evaluation raised: n = 0 marks it
+# failed, and with no ERT and an infinite FCE it never wins a comparison.
+_FAILED = FitnessSummary(config="?", function_id="?", dimension=0, n=0,
+                         ert=None, fce=math.inf, std_error=0.0)
+
+
 def _better(a: FitnessSummary, b: FitnessSummary) -> bool:
     """True when a strictly beats b under the ERT-first ordering.
 
     The winner of :func:`evaluation.compare` without its Welch
-    uncertainty, which only the reports read.
+    uncertainty, which nothing reads.
     """
     return compare_fitness(a.ert, a.fce, b.ert, b.fce)[0] == "A"
 
@@ -136,17 +142,9 @@ def ga_step(
             child.fitness = evaluator(child.r)
         except Exception as exc:
             # A failed evaluation must not kill the search; the child
-            # simply can never win a comparison. n = 0 marks it failed.
+            # shares the failed fitness, which never wins a comparison.
             child.error = f"{type(exc).__name__}: {exc}"
-            child.fitness = FitnessSummary(
-                config=encode(genome),
-                function_id="?",
-                dimension=0,
-                n=0,
-                ert=None,
-                fce=math.inf,
-                std_error=0.0,
-            )
+            child.fitness = _FAILED
         offspring.append(child)
     best = offspring[0]
     for child in offspring[1:]:
@@ -166,7 +164,9 @@ def ga_run(
 
     The trace records, per generation, the best structure seen so far
     under the ERT-first ordering together with its ERT and FCE; the
-    comma parent itself may be worse than the incumbent.
+    comma parent itself may be worse than the incumbent. The ordering
+    is a strict weak order, so only the generation's best child can
+    replace the incumbent, and it does when any child would.
     """
     if budget < lambda_:
         raise ValueError("budget must be at least lambda")
@@ -180,14 +180,12 @@ def ga_run(
             parent, evaluator, rng, lambda_=lambda_, free=free
         )
         trace.evaluations += lambda_
-        trace.failures += sum(1 for c in offspring if c.fitness.n == 0)
-        if trace.first_error is None:
-            trace.first_error = next(
-                (c.error for c in offspring if c.error), None
-            )
         for child in offspring:
-            if incumbent is None or _better(child.fitness, incumbent.fitness):
-                incumbent = child
+            if child.error:
+                trace.failures += 1
+                trace.first_error = trace.first_error or child.error
+        if incumbent is None or _better(parent.fitness, incumbent.fitness):
+            incumbent = parent
         trace.entries.append(
             TraceEntry(
                 generation=gen,

@@ -471,8 +471,7 @@ class TestActivationReport:
             (decode("10000000000"), "separable"),
             (decode("00000000000"), "separable"),
         ]
-        table = report_activation(winners)
-        groups = table.pop("__groups__")
+        groups, table = report_activation(winners)
         assert groups == ["separable"]
         assert table["active_update"] == ["50.0"]
         assert table["elitism"] == ["0.0"]
@@ -480,8 +479,7 @@ class TestActivationReport:
 
     def test_all_default_is_all_zero(self):
         winners = [(decode("00000000000"), "g")] * 4
-        table = report_activation(winners)
-        table.pop("__groups__")
+        _, table = report_activation(winners)
         for name, row in table.items():
             assert row[0] in ("0.0", "0.0/0.0")
 
@@ -492,7 +490,7 @@ class TestActivationReport:
             (decode("00000000000"), "g"),
             (decode("00000000010"), "g"),
         ]
-        table = report_activation(winners)
+        _, table = report_activation(winners)
         sobol_pct, halton_pct = map(float, table["base_sampler"][0].split("/"))
         assert sobol_pct == 50.0
         assert halton_pct == 25.0
@@ -519,6 +517,17 @@ class TestActivationReport:
         )
         assert (code, out) == (2, "")
         assert err.startswith(f"{winners}:3: ") and err.count("\n") == 1
+
+    def test_cli_header_only_names_file_and_line(self, tmp_path, capsys):
+        winners = tmp_path / "winners.tsv"
+        winners.write_text(
+            "run\tga_seed\tfunction_id\tdimension\tbest_config\tert\tfce\n"
+        )
+        code, out, err = _run_cli(
+            ["report-activation", "--winners", str(winners)], capsys
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith(f"{winners}:2: ") and err.count("\n") == 1
 
     def test_cli_non_ascii_digit_names_file_and_line(self, tmp_path, capsys):
         winners = tmp_path / "winners.tsv"

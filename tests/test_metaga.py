@@ -9,7 +9,12 @@ from hypothesis import strategies as st
 from modcmaes import core, metaga
 from modcmaes.benchmarks import make_problem
 from modcmaes.configuration import ConfigurationVector, encode, enumerate_all
-from modcmaes.evaluation import FitnessSummary, compare, summarize
+from modcmaes.evaluation import (
+    FitnessSummary,
+    compare,
+    compare_fitness,
+    summarize,
+)
 from modcmaes.metaga import (
     P_INIT,
     P_MAX,
@@ -332,3 +337,69 @@ def test_better_is_compare_winner(a, b, same_ert, same_fce):
         b = dataclasses.replace(b, fce=a.fce)
     assert metaga._better(a, b) == (compare(a, b).winner == "A")
     assert metaga._better(b, a) == (compare(b, a).winner == "A")
+
+
+# Few distinct values, so ERT and FCE ties are common; None as an
+# outcome makes the evaluation raise.
+_OUTCOME = st.one_of(
+    st.none(),
+    st.tuples(st.sampled_from([None, 10.0, 20.0, 30.0]),
+              st.sampled_from([0.0, 1.0, 2.0, math.inf])),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(outcomes=st.lists(_OUTCOME, min_size=1, max_size=12),
+       budget=st.integers(12, 96), seed=st.integers(0, 2**16),
+       free=st.sampled_from([None, frozenset({0, 1, 2})]))
+def test_incumbent_matches_full_rescan(outcomes, budget, seed, free):
+    """One comparison per generation keeps the incumbent, failures and
+    first error that ranking every child against the incumbent gives,
+    and ga_run makes just that one _better call after the first."""
+
+    served = []
+
+    def evaluator(cfg):
+        s = encode(cfg)
+        served.append(s)
+        outcome = outcomes[int(s) % len(outcomes)]
+        if outcome is None:
+            raise RuntimeError(f"down at {s}")
+        return _summary_for(s, ert=outcome[0], fce=outcome[1])
+
+    calls = 0
+    better = metaga._better
+
+    def counting_better(a, b):
+        nonlocal calls
+        calls += 1
+        return better(a, b)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(metaga, "_better", counting_better)
+        trace = ga_run(evaluator, budget=budget, lambda_=12, seed=seed,
+                       free=free)
+    generations = budget // 12
+    assert calls == generations * 11 + generations - 1
+    served_to_ga_run = served[:]
+    served.clear()
+
+    rng = np.random.default_rng(seed)
+    parent = random_individual(rng, free=free)
+    incumbent, failures, first_error, entries = None, 0, None, []
+    for gen in range(1, generations + 1):
+        parent, offspring = ga_step(parent, evaluator, rng, free=free)
+        for child in offspring:
+            if child.fitness.n == 0:
+                failures += 1
+                first_error = first_error or child.error
+            if incumbent is None or compare_fitness(
+                    child.fitness.ert, child.fitness.fce,
+                    incumbent.fitness.ert, incumbent.fitness.fce)[0] == "A":
+                incumbent = child
+        entries.append(metaga.TraceEntry(
+            gen, encode(incumbent.r), incumbent.fitness.ert,
+            incumbent.fitness.fce))
+    assert served == served_to_ga_run
+    assert trace.entries == entries
+    assert (trace.failures, trace.first_error) == (failures, first_error)
