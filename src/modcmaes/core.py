@@ -36,6 +36,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.linalg._umath_linalg import eigh_lo as _eigh_lo
 
 from .configuration import ConfigurationVector, decode, encode
 from .sampling import Sampler, SamplerSpec
@@ -226,11 +227,33 @@ def _symmetrize(C: np.ndarray, triu_mask: np.ndarray) -> np.ndarray:
     return np.where(triu_mask, C, C.T) + 0.0
 
 
+def _eigh(C: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``np.linalg.eigh(C)`` of a float matrix without its Python wrapper.
+
+    Calls the LAPACK gufunc that ``eigh`` wraps, which reads the lower
+    triangle and gives ascending eigenvalues with ``eigh``'s bits. The
+    gufunc reports non-convergence only as an invalid-value
+    floating-point error (with NaN outputs); like ``eigh``, this raises
+    ``LinAlgError`` for it, and returns any other NaN result as it is.
+    """
+    try:
+        with np.errstate(all="ignore", invalid="raise"):
+            return _eigh_lo(C, signature="d->dd")
+    except FloatingPointError:
+        raise np.linalg.LinAlgError("Eigenvalues did not converge") from None
+
+
 class StrategyParams:
     """All endogenous state of one local ES run.
 
     Derived constants (weights, learning rates) follow the standard
     published defaults; the switchable mechanisms only consume them.
+    The constants that depend only on D, lambda, mu and the weights are
+    computed once per local run, each by the expression the update
+    would evaluate: ``csa_coef`` = sqrt(c_sigma (2 - c_sigma) mu_eff),
+    ``pc_coef`` = sqrt(c_c (2 - c_c) mu_eff), ``c_c_var`` = c_c (2 - c_c),
+    ``c_keep`` = 1 - c_1 - c_mu, ``h_sig_bound`` = (1.4 + 2 / (D + 1))
+    chi_n and ``stagnation_window`` = ceil(10 + 30 D / lambda).
     """
 
     def __init__(
@@ -265,6 +288,12 @@ class StrategyParams:
         )
         self.beta_active = (4.0 * m - 2.0) / ((d + 12.0) ** 2 + 4.0 * m)
         self.chi_n = math.sqrt(d) * (1.0 - 1.0 / (4.0 * d) + 1.0 / (21.0 * d * d))
+        self.csa_coef = math.sqrt(self.c_sigma * (2.0 - self.c_sigma) * m)
+        self.pc_coef = math.sqrt(self.c_c * (2.0 - self.c_c) * m)
+        self.c_c_var = self.c_c * (2.0 - self.c_c)
+        self.c_keep = 1.0 - self.c_1 - self.c_mu
+        self.h_sig_bound = (1.4 + 2.0 / (d + 1.0)) * self.chi_n
+        self.stagnation_window = math.ceil(10 + 30.0 * d / self.lambda_)
 
         span = np.asarray(upper, dtype=float) - np.asarray(lower, dtype=float)
         self.sigma0 = 0.2 * float(span[0])
@@ -273,9 +302,9 @@ class StrategyParams:
 
         self.C = np.eye(d)
         self.B = np.eye(d)
-        self.eig_vals = np.ones(d)
+        self.eig_min = self.eig_max = 1.0
         self.d_sqrt = np.ones(d)
-        self.inv_root_C = np.eye(d)
+        self.inv_root_C = None if cfg.tpa else np.eye(d)  # read by CSA only
         self.p_sigma = np.zeros(d)
         self.p_c = np.zeros(d)
         self.tpa_state = 0.0
@@ -319,16 +348,18 @@ class StrategyParams:
             self.p_sigma = np.zeros(self.dimension)
             self.mean = np.where(np.isfinite(self.mean), self.mean, 0.0)
             self.repair_count += 1
-        vals, vecs = np.linalg.eigh(self.C)
+        vals, vecs = _eigh(self.C)
         if vals[0] <= 0.0:
             floor = max(vals[-1] * 1e-14, 1e-30)
             vals = np.maximum(vals, floor)
             self.C = _symmetrize((vecs * vals) @ vecs.T, self.triu_mask)
             self.repair_count += 1
-        self.eig_vals = vals
+        self.eig_min = float(vals[0])
+        self.eig_max = float(vals[-1])
         self.d_sqrt = np.sqrt(vals)
         self.B = vecs
-        self.inv_root_C = (vecs / self.d_sqrt) @ vecs.T
+        if self.inv_root_C is not None:
+            self.inv_root_C = (vecs / self.d_sqrt) @ vecs.T
 
 
 def adapt(
@@ -353,35 +384,34 @@ def adapt(
         old_mean = p.mean
     dm = (p.mean - old_mean) / p.sigma
 
+    if not cfg.tpa:
+        p.p_sigma = (1.0 - p.c_sigma) * p.p_sigma + p.csa_coef * (
+            p.inv_root_C @ dm
+        )
+    ps_norm = math.sqrt(p.p_sigma @ p.p_sigma)
     if cfg.tpa:
         p.tpa_state = (1.0 - C_ALPHA) * p.tpa_state + C_ALPHA * tpa_sign
         p.sigma *= math.exp(p.tpa_state / p.d_sigma)
     else:
-        p.p_sigma = (1.0 - p.c_sigma) * p.p_sigma + math.sqrt(
-            p.c_sigma * (2.0 - p.c_sigma) * p.mu_eff
-        ) * (p.inv_root_C @ dm)
-        arg = (p.c_sigma / p.d_sigma) * (
-            math.sqrt(p.p_sigma @ p.p_sigma) / p.chi_n - 1.0
-        )
+        arg = (p.c_sigma / p.d_sigma) * (ps_norm / p.chi_n - 1.0)
         # A single-generation factor beyond e^20 only occurs in runs
         # already degenerate; clip instead of overflowing.
         p.sigma *= math.exp(min(max(arg, -20.0), 20.0))
 
     h_sig = float(
-        math.sqrt(p.p_sigma @ p.p_sigma)
-        / math.sqrt(1.0 - (1.0 - p.c_sigma) ** (2.0 * (p.t + 1)))
-        < (1.4 + 2.0 / (p.dimension + 1.0)) * p.chi_n
+        ps_norm / math.sqrt(1.0 - (1.0 - p.c_sigma) ** (2.0 * (p.t + 1)))
+        < p.h_sig_bound
     )
-    p.p_c = (1.0 - p.c_c) * p.p_c + h_sig * math.sqrt(
-        p.c_c * (2.0 - p.c_c) * p.mu_eff
-    ) * dm
+    p.p_c = (1.0 - p.c_c) * p.p_c + h_sig * p.pc_coef * dm
 
     w = p.weights[: len(selected_y)]
     rank_mu = (w[:, None] * selected_y).T @ selected_y
-    dhs = (1.0 - h_sig) * p.c_c * (2.0 - p.c_c)
+    # h_sig is 0.0 or 1.0, so (1 - h_sig) * c_c_var has the bits of
+    # (1 - h_sig) * c_c * (2 - c_c).
+    dhs = (1.0 - h_sig) * p.c_c_var
     p.C = (
-        (1.0 - p.c_1 - p.c_mu + p.c_1 * dhs) * p.C
-        + p.c_1 * np.outer(p.p_c, p.p_c)
+        (p.c_keep + p.c_1 * dhs) * p.C
+        + p.c_1 * (p.p_c[:, None] * p.p_c)
         + p.c_mu * rank_mu
     )
 
@@ -442,11 +472,12 @@ class _Accountant:
             raise _RunOver
         rows = X[:room]
         err = self.problem.error(rows)
-        if not np.isfinite(err).all():
+        best = np.minimum.accumulate(np.minimum(err, self.best_error))
+        if not best[-1] > -math.inf:  # a NaN or -inf row counts as +inf
             err = np.where(np.isfinite(err), err, math.inf)
+            best = np.minimum.accumulate(np.minimum(err, self.best_error))
         start = self.used
         self.used += len(err)
-        best = np.minimum.accumulate(np.minimum(err, self.best_error))
         self.best_error = float(best[-1])
         if self.trajectory is not None:
             self.trajectory.append(best)
@@ -466,18 +497,18 @@ def _local_stop(params: StrategyParams, gen_best: float) -> str | None:
         p.last_improvement_gen = p.t
     elif gen_best < p.best_f:
         p.best_f = gen_best
-    if p.t - p.last_improvement_gen >= math.ceil(10 + 30.0 * p.dimension / p.lambda_):
+    if p.t - p.last_improvement_gen >= p.stagnation_window:
         return "stagnation"
-    if p.eig_vals[-1] / max(p.eig_vals[0], 1e-300) > CONDITION_LIMIT:
+    if p.eig_max / max(p.eig_min, 1e-300) > CONDITION_LIMIT:
         return "condition"
-    if p.sigma * math.sqrt(p.eig_vals[-1]) < TOL_SIGMA * p.sigma0:
+    if p.sigma * math.sqrt(p.eig_max) < TOL_SIGMA * p.sigma0:
         return "tol_sigma"
     axis = p.t % p.dimension
     probe = 0.1 * p.sigma * p.d_sqrt[axis] * p.B[:, axis]
-    if (p.mean + probe == p.mean).all():
+    if np.logical_and.reduce(p.mean + probe == p.mean):
         return "no_effect_axis"
     coord = 0.2 * p.sigma * np.sqrt(p.C.diagonal())
-    if (p.mean + coord == p.mean).any():
+    if np.logical_or.reduce(p.mean + coord == p.mean):
         return "no_effect_coord"
     return None
 

@@ -5,12 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from modcmaes.benchmarks import FUNCTIONS, make_problem
-from modcmaes.configuration import CATALOG, decode, enumerate_all
+from modcmaes.benchmarks import DIMENSIONS, FUNCTIONS, make_problem
+from modcmaes.configuration import CATALOG, decode, encode, enumerate_all
 from modcmaes.core import (
     SelectionShortfallError,
     StrategyParams,
     ZeroMutationError,
+    _eigh,
+    _local_stop,
     _symmetrize,
     adapt,
     apply_threshold,
@@ -82,6 +84,16 @@ class TestResolveInteractions:
                 assert lam % 2 == 0
             if cfg.pairwise and cfg.sequential:
                 assert cutoff == 2 * mu
+
+    def test_every_generation_draws_at_least_two_vectors(self):
+        # run() never starts a local run below lambda = 4 (the budget
+        # cap's floor) and starts at lambda0 <= 12 (D = 20); restarts only
+        # raise lambda. A sampler serves lambda_eff vectors per call, so
+        # core never asks one for a single vector.
+        for cfg in enumerate_all():
+            for lam in range(4, 13):
+                _, _, lam_eff, _ = resolve_interactions(cfg, lam, lam // 2)
+                assert lam_eff >= 2, (encode(cfg), lam)
 
 
 class TestApplyThreshold:
@@ -368,6 +380,230 @@ class TestAdapt:
         assert np.array_equal(out, ref)
         assert np.array_equal(np.signbit(out), np.signbit(ref))
         assert not ((out == 0.0) & np.signbit(out)).any()  # no -0.0 left
+
+
+class TestDecompose:
+    """The repairs of ``StrategyParams.decompose``, one branch each."""
+
+    def _state(self, dim=4):
+        p = _fresh_params(DEFAULT, dim=dim)
+        p.p_c = np.linspace(0.1, 0.4, dim)
+        p.p_sigma = np.linspace(-0.5, 0.5, dim)
+        p.mean = np.linspace(1.0, 2.0, dim)
+        p.sigma = 0.7
+        return p
+
+    def test_nonfinite_covariance_resets_c_and_p_c(self):
+        p = self._state()
+        p.C = np.eye(4)
+        p.C[1, 2] = p.C[2, 1] = np.inf
+        p_sigma, mean = p.p_sigma.copy(), p.mean.copy()
+        p.decompose()
+        assert np.array_equal(p.C, np.eye(4))
+        assert np.array_equal(p.p_c, np.zeros(4))
+        assert np.array_equal(p.p_sigma, p_sigma)
+        assert p.sigma == 0.7
+        assert np.array_equal(p.mean, mean)
+        assert p.repair_count == 1
+
+    @pytest.mark.parametrize("sigma", [1e-32, 1e-40, 1e32, 1e40, np.inf, np.nan])
+    def test_sigma_out_of_range_restarts_the_strategy(self, sigma):
+        p = self._state()
+        p.C = np.diag([1.0, 2.0, 3.0, 4.0])
+        p.sigma = sigma
+        mean = p.mean.copy()
+        p.decompose()
+        assert np.array_equal(p.C, np.eye(4))
+        assert np.array_equal(p.p_c, np.zeros(4))
+        assert np.array_equal(p.p_sigma, np.zeros(4))
+        assert p.sigma == p.sigma0
+        assert np.array_equal(p.mean, mean)
+        assert p.repair_count == 1
+
+    def test_nonfinite_mean_zeroes_its_bad_coordinates(self):
+        p = self._state()
+        p.C = np.diag([1.0, 2.0, 3.0, 4.0])
+        p.mean = np.array([np.nan, 1.5, -np.inf, np.inf])
+        p.decompose()
+        assert np.array_equal(p.C, np.eye(4))
+        assert np.array_equal(p.p_c, np.zeros(4))
+        assert np.array_equal(p.p_sigma, np.zeros(4))
+        assert p.sigma == p.sigma0
+        assert np.array_equal(p.mean, [0.0, 1.5, 0.0, 0.0])
+        assert p.repair_count == 1
+
+    def test_nonfinite_covariance_and_mean_count_two_repairs(self):
+        p = self._state()
+        p.C = np.full((4, 4), np.nan)
+        p.mean = np.array([1.0, np.nan, 2.0, 3.0])
+        p.decompose()
+        assert np.array_equal(p.C, np.eye(4))
+        assert np.array_equal(p.mean, [1.0, 0.0, 2.0, 3.0])
+        assert p.repair_count == 2
+
+    def test_nonpositive_eigenvalue_raised_to_the_floor(self):
+        p = self._state(dim=2)
+        p.C = np.array([[1.0, 2.0], [2.0, 1.0]])  # eigenvalues -1 and 3
+        p_c, p_sigma, mean = p.p_c.copy(), p.p_sigma.copy(), p.mean.copy()
+        vals, vecs = np.linalg.eigh(p.C)
+        floored = np.maximum(vals, max(vals[-1] * 1e-14, 1e-30))
+        expected = _symmetrize(
+            (vecs * floored) @ vecs.T, np.triu(np.ones((2, 2), dtype=bool))
+        )
+        p.decompose()
+        assert np.array_equal(p.C, expected)
+        assert np.array_equal(p.d_sqrt, np.sqrt(floored))
+        assert np.array_equal(p.p_c, p_c)
+        assert np.array_equal(p.p_sigma, p_sigma)
+        assert p.sigma == 0.7
+        assert np.array_equal(p.mean, mean)
+        assert p.repair_count == 1
+
+    def test_healthy_state_is_not_repaired(self):
+        p = self._state()
+        C = np.diag([1.0, 2.0, 3.0, 4.0])
+        p.C = C.copy()
+        p.decompose()
+        assert np.array_equal(p.C, C)
+        assert p.sigma == 0.7
+        assert p.repair_count == 0
+
+
+class TestEigh:
+    """``_eigh`` has the bits and the errors of ``np.linalg.eigh``."""
+
+    @staticmethod
+    def _matrices(dim, rng):
+        for _ in range(20):
+            A = rng.standard_normal((dim, dim))
+            yield A @ A.T + 1e-3 * np.eye(dim)  # random SPD
+        yield np.diag(rng.uniform(1e-6, 1e6, dim))  # diagonal
+        yield np.eye(dim)
+        # near-singular: one direction 1e-13 of the others
+        Q, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
+        spectrum = np.logspace(0, 3, dim)
+        spectrum[0] = 1e-13
+        yield _symmetrize(
+            (Q * spectrum) @ Q.T, np.triu(np.ones((dim, dim), dtype=bool))
+        )
+        # floor-repaired: the C that decompose leaves after a repair
+        p = _fresh_params(DEFAULT, dim=dim)
+        p.C = _symmetrize(
+            (Q * (spectrum - 2.0)) @ Q.T, np.triu(np.ones((dim, dim), dtype=bool))
+        )
+        p.decompose()
+        assert p.repair_count == 1
+        yield p.C
+
+    @pytest.mark.parametrize("dim", DIMENSIONS)
+    def test_bits_equal_numpy_eigh(self, dim):
+        rng = np.random.default_rng(dim)
+        for C in self._matrices(dim, rng):
+            vals, vecs = _eigh(C)
+            ref_vals, ref_vecs = np.linalg.eigh(C)
+            assert vals.tobytes() == ref_vals.tobytes()
+            assert vecs.tobytes() == ref_vecs.tobytes()
+
+    def test_nan_matrix_raises(self):
+        C = np.full((3, 3), np.nan)
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.eigh(C)
+        with pytest.raises(np.linalg.LinAlgError):
+            _eigh(C)
+
+    def test_nan_results_that_numpy_returns_are_returned(self):
+        # LAPACK converges on these and answers NaN; eigh does not raise.
+        for C in ([[1.0, np.nan], [np.nan, 1.0]], [[1.0, 0.0], [0.0, np.nan]]):
+            C = np.array(C)
+            vals, vecs = _eigh(C)
+            ref_vals, ref_vecs = np.linalg.eigh(C)
+            assert np.array_equal(vals, ref_vals, equal_nan=True)
+            assert np.array_equal(vecs, ref_vecs, equal_nan=True)
+
+
+class TestLocalStop:
+    """Each local stop criterion fires alone, and they fire in order."""
+
+    def _healthy(self):
+        p = _fresh_params(DEFAULT, dim=4)  # lambda 8
+        p.best_f = 1.0
+        return p
+
+    def _no_effect(self):
+        # One eigen-axis 1e-6 of the others: a probe along it, and along
+        # coordinate 3, is below half an ulp of the mean. cond(C) 1e12.
+        p = self._healthy()
+        p.C = np.diag([1.0, 1.0, 1.0, 1e-12])
+        p.decompose()
+        p.mean = np.full(4, 1e6)
+        p.sigma = 1e-4
+        return p
+
+    def test_healthy_state_continues(self):
+        p = self._healthy()
+        for t in range(4):
+            p.t = t
+            assert _local_stop(p, 1.0) is None
+
+    def test_stagnation_at_exactly_the_window(self):
+        p = self._healthy()
+        window = math.ceil(10 + 30 * p.dimension / p.lambda_)
+        assert window == 25
+        p.t = window - 1
+        assert _local_stop(p, 1.0) is None
+        p.t = window
+        assert _local_stop(p, 1.0) == "stagnation"
+
+    def test_improvement_resets_the_window(self):
+        p = self._healthy()
+        p.t = 30
+        assert _local_stop(p, 1.0 - 2e-12) is None
+        assert p.last_improvement_gen == 30
+        p.t = 30 + 25
+        assert _local_stop(p, 1.0) == "stagnation"
+
+    def test_condition_above_limit(self):
+        p = self._healthy()
+        p.C = np.diag([1.0, 1.0, 1.0, 1e-15])
+        p.decompose()
+        assert _local_stop(p, 1.0) == "condition"
+        p.C = np.diag([1.0, 1.0, 1.0, 1e-13])
+        p.decompose()
+        assert _local_stop(p, 1.0) is None
+
+    def test_tol_sigma(self):
+        p = self._healthy()
+        p.sigma = 0.5e-12 * p.sigma0
+        assert _local_stop(p, 1.0) == "tol_sigma"
+        p.sigma = 2e-12 * p.sigma0
+        assert _local_stop(p, 1.0) is None
+
+    @pytest.mark.parametrize("t", range(8))
+    def test_no_effect_axis_is_axis_t_mod_d(self, t):
+        # eigh lists eigenvalues ascending, so the short axis is axis 0.
+        p = self._no_effect()
+        p.t = t
+        expected = "no_effect_axis" if t % 4 == 0 else "no_effect_coord"
+        assert _local_stop(p, 1.0) == expected
+
+    def test_criteria_fire_in_order(self):
+        p = self._no_effect()
+        p.t = 40
+        p.C = np.diag([1.0, 1.0, 1.0, 1e-20])
+        p.decompose()
+        p.sigma = 1e-20
+        assert _local_stop(p, 1.0) == "stagnation"
+        p.last_improvement_gen = 40
+        assert _local_stop(p, 1.0) == "condition"
+        p.C = np.diag([1.0, 1.0, 1.0, 1e-12])
+        p.decompose()
+        assert _local_stop(p, 1.0) == "tol_sigma"
+        p.sigma = 1e-4
+        assert _local_stop(p, 1.0) == "no_effect_axis"
+        p.t = 41
+        assert _local_stop(p, 1.0) == "no_effect_coord"
+        p.mean = np.full(4, 1.0)
+        assert _local_stop(p, 1.0) is None
 
 
 class _CountingProblem:
