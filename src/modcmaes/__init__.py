@@ -28,6 +28,7 @@ from .core import (
 )
 from .benchmarks import Problem, make_problem, make_suite, suite_manifest
 from .evaluation import (
+    CachedEvaluator,
     FitnessSummary,
     ResultsCache,
     compare,
@@ -63,6 +64,7 @@ __all__ = [
     "make_problem",
     "make_suite",
     "suite_manifest",
+    "CachedEvaluator",
     "FitnessSummary",
     "ResultsCache",
     "compare",

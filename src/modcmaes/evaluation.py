@@ -22,7 +22,7 @@ from typing import Iterator
 import numpy as np
 
 from .benchmarks import default_budget
-from .configuration import ConfigurationVector
+from .configuration import ConfigurationVector, encode
 from .core import ENGINE_VERSION, RunRecord, run
 
 __all__ = [
@@ -39,6 +39,7 @@ __all__ = [
     "welch_uncertainty",
     "subsample_uncertainty",
     "ResultsCache",
+    "CachedEvaluator",
     "CACHE_HEADER",
     "MalformedInputError",
     "format_float",
@@ -362,7 +363,7 @@ class ResultsCache:
     ``append`` cuts it off before writing; any other line that is not
     a record raises :class:`MalformedInputError`. There must be only one
     writer at a time. The class holds the storage format only; the commands
-    read runs back through ``cli.CachedEvaluator``'s index.
+    read runs back through :class:`CachedEvaluator`'s index.
     """
 
     def __init__(self, path: str):
@@ -433,3 +434,74 @@ class ResultsCache:
                         f"hit_index, tab-separated, got {line.rstrip()!r}"
                     ) from None
         return out
+
+
+class CachedEvaluator:
+    """Fitness evaluator backed by the append-only results cache, and
+    the cache's only reader: it indexes the runs of its own (function,
+    dimension) once. :meth:`cached` returns a structure's summary when
+    all n seeded runs are there and never executes a run; a call first
+    executes the missing runs through ``map_fn`` (the builtin ``map``,
+    or a pool's from :func:`run_map`) and appends them in seed order.
+    Each structure is summarized once, into one immutable summary.
+    """
+
+    def __init__(
+        self,
+        problem,
+        cache: ResultsCache,
+        n_runs: int = 32,
+        budget: int | None = None,
+        base_seed: int = 0,
+        target: float | None = None,
+        map_fn=map,
+    ):
+        self.problem = problem
+        self.cache = cache
+        self.n_runs = n_runs
+        self.budget = budget
+        self.base_seed = base_seed
+        self.target = target
+        self.map_fn = map_fn
+        self.runs_executed = 0
+        self.seeds = [base_seed + i for i in range(n_runs)]
+        # Keyed by the argument as given and by its string, so a vector
+        # and its string share one summary.
+        self._summaries: dict[ConfigurationVector | str, FitnessSummary] = {}
+        self._mem: dict[str, dict[int, RunRecord]] = {}
+        for r in cache.records():
+            if (r.function_id == problem.function_id
+                    and r.dimension == problem.dimension):
+                self._mem.setdefault(r.config, {})[r.seed] = r
+
+    def missing_seeds(self, cfg_str: str) -> list[int]:
+        have = self._mem.get(cfg_str, {})
+        return [s for s in self.seeds if s not in have]
+
+    def cached(self, cfg_str: str) -> FitnessSummary | None:
+        """The summary of ``cfg_str`` when all n seeds are cached, else
+        ``None``; never executes a run."""
+        summary = self._summaries.get(cfg_str)
+        if summary is None and not self.missing_seeds(cfg_str):
+            have = self._mem[cfg_str]
+            summary = summarize([have[s] for s in self.seeds])
+            self._summaries[cfg_str] = summary
+        return summary
+
+    def __call__(self, cfg: ConfigurationVector | str) -> FitnessSummary:
+        summary = self._summaries.get(cfg)
+        if summary is not None:
+            return summary
+        cfg_str = cfg if isinstance(cfg, str) else encode(cfg)
+        summary = self.cached(cfg_str)
+        if summary is None:
+            new = execute_runs(
+                cfg_str, self.problem, self.budget,
+                self.missing_seeds(cfg_str), self.target, self.map_fn,
+            )
+            self.runs_executed += len(new)
+            self.cache.append(new)
+            self._mem.setdefault(cfg_str, {}).update((r.seed, r) for r in new)
+            summary = self.cached(cfg_str)
+        self._summaries[cfg] = summary
+        return summary

@@ -674,7 +674,8 @@ class TestCachedEvaluator:
         CachedEvaluator(problem, ResultsCache(path), n_runs=3, budget=300,
                         base_seed=5)("01000000000")
         calls = {"summarize": 0, "missing_seeds": 0}
-        summarize, missing_seeds = cli.summarize, CachedEvaluator.missing_seeds
+        summarize, missing_seeds = (evaluation.summarize,
+                                  CachedEvaluator.missing_seeds)
 
         def counted_summarize(runs):
             calls["summarize"] += 1
@@ -684,7 +685,7 @@ class TestCachedEvaluator:
             calls["missing_seeds"] += 1
             return missing_seeds(self, cfg_str)
 
-        monkeypatch.setattr(cli, "summarize", counted_summarize)
+        monkeypatch.setattr(evaluation, "summarize", counted_summarize)
         monkeypatch.setattr(
             CachedEvaluator, "missing_seeds", counted_missing_seeds)
         ev = CachedEvaluator(problem, ResultsCache(path), n_runs=3,
