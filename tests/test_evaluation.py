@@ -3,6 +3,8 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from modcmaes import evaluation
@@ -14,6 +16,7 @@ from modcmaes.evaluation import (
     MalformedInputError,
     ResultsCache,
     compare,
+    compare_fitness,
     compute_ert,
     execute_runs,
     run_batch,
@@ -173,6 +176,45 @@ class TestCompare:
             )
             res = compare(a, b)
             assert 0.0 <= res.uncertainty <= 1.0
+
+
+def _reference_compare_fitness(ert_a, fce_a, ert_b, fce_b):
+    """The ERT-first branches of compare_fitness, spelled out."""
+    if ert_a is not None and ert_b is not None:
+        if ert_a < ert_b:
+            return "A", "ert"
+        if ert_b < ert_a:
+            return "B", "ert"
+        return "tie", "ert"
+    if ert_a is not None:
+        return "A", "ert"
+    if ert_b is not None:
+        return "B", "ert"
+    if fce_a < fce_b:
+        return "A", "fce"
+    if fce_b < fce_a:
+        return "B", "fce"
+    return "tie", "fce"
+
+
+# Few distinct values, so equal ERTs (with equal or different FCEs) and
+# equal FCEs are common; NaN compares false both ways and must tie.
+_ERT = st.one_of(st.none(), st.sampled_from([10.0, 20.0]),
+                 st.floats(1.0, 1e6))
+_FCE = st.one_of(st.sampled_from([0.0, 1.0, math.inf, math.nan]),
+                 st.floats(0.0, 1e6))
+
+
+@settings(max_examples=500, deadline=None)
+@given(ert_a=_ERT, fce_a=_FCE, ert_b=_ERT, fce_b=_FCE)
+def test_compare_fitness_truth_table(ert_a, fce_a, ert_b, fce_b):
+    expected = _reference_compare_fitness(ert_a, fce_a, ert_b, fce_b)
+    assert compare_fitness(ert_a, fce_a, ert_b, fce_b) == expected
+
+
+@pytest.mark.parametrize("fce_b", [0.0, 2.0, math.inf, math.nan])
+def test_equal_erts_tie_on_ert_whatever_the_fces(fce_b):
+    assert compare_fitness(10.0, 1.0, 10.0, fce_b) == ("tie", "ert")
 
 
 def _t_tail_oracle(t: float, df: int) -> float:
