@@ -35,7 +35,7 @@ from .evaluation import (
     FitnessSummary,
     MalformedInputError,
     ResultsCache,
-    compare_fitness,
+    fitness_key,
     format_float,
     run_map,
 )
@@ -153,13 +153,10 @@ def rank_aggregate(
     bf_fitness: Sequence[tuple[float | None, float]],
     ga_fitness: tuple[float | None, float],
 ) -> int:
-    """1-based rank of the GA aggregate among brute-force fitnesses."""
-    better = 0
-    for ert, fce in bf_fitness:
-        winner, _ = compare_fitness(ert, fce, ga_fitness[0], ga_fitness[1])
-        if winner == "A":
-            better += 1
-    return better + 1
+    """1-based rank of the GA aggregate among brute-force fitnesses: 1
+    plus the number of them that beat it ERT-first."""
+    ga_key = fitness_key(*ga_fitness)
+    return 1 + sum(fitness_key(ert, fce) < ga_key for ert, fce in bf_fitness)
 
 
 def rank_table(ranks: Sequence[int]) -> list[tuple[str, float]]:

@@ -3,9 +3,11 @@
 A strategy's quality on a problem is summarized from n independent runs
 as the pair (ERT, FCE): estimated running time when at least one run
 reaches the target, and the mean best error at budget exhaustion
-otherwise. Comparisons are ERT-first; the probability that two
-strategies are actually indistinguishable is estimated with a Welch
-t-statistic on relative distances.
+otherwise. Comparisons are ERT-first, by one sort key,
+:func:`fitness_key`; the probability that two strategies are actually
+indistinguishable is estimated with a Welch t-statistic on relative
+distances. Structures are evaluated through :class:`CachedEvaluator`,
+the one reader of the append-only :class:`ResultsCache`.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import os
 import re
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property, partial
 from typing import Iterator
 
 import numpy as np
@@ -36,6 +38,7 @@ __all__ = [
     "summarize",
     "compare",
     "compare_fitness",
+    "fitness_key",
     "welch_uncertainty",
     "subsample_uncertainty",
     "ResultsCache",
@@ -57,6 +60,14 @@ class MalformedInputError(ValueError):
     ``<file>:<line>:``."""
 
 
+def fitness_key(ert: float | None, fce: float) -> tuple[int, float]:
+    """The ERT-first order as a sort key: ``(0, ert)`` when some run hit
+    the target, else ``(1, fce)``. The lower key wins and equal keys
+    tie; a NaN compares false both ways under tuple ``<``, as under
+    ``<`` on the values."""
+    return (1, fce) if ert is None else (0, ert)
+
+
 @dataclass(frozen=True)
 class FitnessSummary:
     """Aggregate of n runs of one configuration on one problem; one
@@ -70,6 +81,11 @@ class FitnessSummary:
     fce: float
     std_error: float
     runs: tuple[RunRecord, ...] = ()
+
+    @cached_property
+    def key(self) -> tuple[int, float]:
+        """:func:`fitness_key` of this summary, built on first use."""
+        return fitness_key(self.ert, self.fce)
 
 
 @dataclass(frozen=True)
@@ -171,22 +187,12 @@ def run_batch(
 def compare_fitness(
     ert_a: float | None, fce_a: float, ert_b: float | None, fce_b: float
 ) -> tuple[str, str]:
-    """ERT-first ordering on two (ERT, FCE) pairs -> (winner, basis)."""
-    if ert_a is not None and ert_b is not None:
-        if ert_a < ert_b:
-            return "A", "ert"
-        if ert_b < ert_a:
-            return "B", "ert"
-        return "tie", "ert"
-    if ert_a is not None:
-        return "A", "ert"
-    if ert_b is not None:
-        return "B", "ert"
-    if fce_a < fce_b:
-        return "A", "fce"
-    if fce_b < fce_a:
-        return "B", "fce"
-    return "tie", "fce"
+    """ERT-first ordering on two (ERT, FCE) pairs -> (winner, basis),
+    by :func:`fitness_key`; the basis is "fce" only when neither side
+    has an ERT."""
+    a, b = fitness_key(ert_a, fce_a), fitness_key(ert_b, fce_b)
+    winner = "A" if a < b else "B" if b < a else "tie"
+    return winner, "fce" if a[0] and b[0] else "ert"
 
 
 def _relative_distance(

@@ -18,7 +18,7 @@ from typing import AbstractSet, Callable
 import numpy as np
 
 from .configuration import CATALOG, ConfigurationVector, encode, mutate
-from .evaluation import FitnessSummary, compare_fitness, format_float
+from .evaluation import FitnessSummary, format_float
 
 __all__ = [
     "GAIndividual",
@@ -109,13 +109,9 @@ _FAILED = FitnessSummary(config="?", function_id="?", dimension=0, n=0,
                          ert=None, fce=math.inf, std_error=0.0)
 
 
-def _better(a: FitnessSummary, b: FitnessSummary) -> bool:
-    """True when a strictly beats b under the ERT-first ordering.
-
-    The winner of :func:`evaluation.compare` without its Welch
-    uncertainty, which nothing reads.
-    """
-    return compare_fitness(a.ert, a.fce, b.ert, b.fce)[0] == "A"
+def _key(child: GAIndividual) -> tuple[int, float]:
+    """The child's ERT-first sort key; the lower key is the better child."""
+    return child.fitness.key
 
 
 def ga_step(
@@ -146,11 +142,8 @@ def ga_step(
             child.error = f"{type(exc).__name__}: {exc}"
             child.fitness = _FAILED
         offspring.append(child)
-    best = offspring[0]
-    for child in offspring[1:]:
-        if _better(child.fitness, best.fitness):
-            best = child
-    return best, offspring
+    # The first of several equally good children.
+    return min(offspring, key=_key), offspring
 
 
 def ga_run(
@@ -184,7 +177,7 @@ def ga_run(
             if child.error:
                 trace.failures += 1
                 trace.first_error = trace.first_error or child.error
-        if incumbent is None or _better(parent.fitness, incumbent.fitness):
+        if incumbent is None or _key(parent) < _key(incumbent):
             incumbent = parent
         trace.entries.append(
             TraceEntry(

@@ -19,6 +19,7 @@ from modcmaes.evaluation import (
     compare_fitness,
     compute_ert,
     execute_runs,
+    fitness_key,
     run_batch,
     run_map,
     subsample_uncertainty,
@@ -210,6 +211,11 @@ _FCE = st.one_of(st.sampled_from([0.0, 1.0, math.inf, math.nan]),
 def test_compare_fitness_truth_table(ert_a, fce_a, ert_b, fce_b):
     expected = _reference_compare_fitness(ert_a, fce_a, ert_b, fce_b)
     assert compare_fitness(ert_a, fce_a, ert_b, fce_b) == expected
+    a, b = fitness_key(ert_a, fce_a), fitness_key(ert_b, fce_b)
+    assert ("A" if a < b else "B" if b < a else "tie") == expected[0]
+    summary = _summary(ert_a, fce_a)
+    assert summary.key == a
+    assert summary.key is summary.key  # built once
 
 
 @pytest.mark.parametrize("fce_b", [0.0, 2.0, math.inf, math.nan])

@@ -330,13 +330,13 @@ _SUMMARY = st.builds(
 @given(a=_SUMMARY, b=_SUMMARY, same_ert=st.booleans(),
        same_fce=st.booleans())
 def test_better_is_compare_winner(a, b, same_ert, same_fce):
-    """The GA's ordering is compare's winner without the Welch test."""
+    """The GA's key order is compare's winner without the Welch test."""
     if same_ert:
         b = dataclasses.replace(b, ert=a.ert)
     if same_fce:
         b = dataclasses.replace(b, fce=a.fce)
-    assert metaga._better(a, b) == (compare(a, b).winner == "A")
-    assert metaga._better(b, a) == (compare(b, a).winner == "A")
+    assert (a.key < b.key) == (compare(a, b).winner == "A")
+    assert (b.key < a.key) == (compare(b, a).winner == "A")
 
 
 # Few distinct values, so ERT and FCE ties are common; None as an
@@ -354,8 +354,9 @@ _OUTCOME = st.one_of(
        free=st.sampled_from([None, frozenset({0, 1, 2})]))
 def test_incumbent_matches_full_rescan(outcomes, budget, seed, free):
     """One comparison per generation keeps the incumbent, failures and
-    first error that ranking every child against the incumbent gives,
-    and ga_run makes just that one _better call after the first."""
+    first error that ranking every child against the incumbent gives:
+    ga_step keys each of its 12 children once, and ga_run keys the
+    parent and the incumbent once per generation after the first."""
 
     served = []
 
@@ -368,19 +369,19 @@ def test_incumbent_matches_full_rescan(outcomes, budget, seed, free):
         return _summary_for(s, ert=outcome[0], fce=outcome[1])
 
     calls = 0
-    better = metaga._better
+    key = metaga._key
 
-    def counting_better(a, b):
+    def counting_key(child):
         nonlocal calls
         calls += 1
-        return better(a, b)
+        return key(child)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(metaga, "_better", counting_better)
+        mp.setattr(metaga, "_key", counting_key)
         trace = ga_run(evaluator, budget=budget, lambda_=12, seed=seed,
                        free=free)
     generations = budget // 12
-    assert calls == generations * 11 + generations - 1
+    assert calls == generations * 12 + 2 * (generations - 1)
     served_to_ga_run = served[:]
     served.clear()
 
