@@ -11,8 +11,15 @@ structure evaluations cost almost nothing on top of the sweep.
 import os
 import tempfile
 
-from modcmaes import ResultsCache, compare, enumerate_all, encode, make_problem
-from modcmaes.cli import CachedEvaluator, rank_aggregate
+from modcmaes import (
+    CachedEvaluator,
+    ResultsCache,
+    compare,
+    encode,
+    enumerate_all,
+    make_problem,
+)
+from modcmaes.cli import rank_aggregate
 from modcmaes.metaga import ga_run
 
 FREE = {0, 1, 2}  # free modules: 1..3, every other gene 0

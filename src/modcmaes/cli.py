@@ -89,17 +89,15 @@ def _summary_line(s: FitnessSummary) -> str:
 SUMMARY_HEADER = "config\tfunction_id\tdimension\tn\tert\tfce\tstd_error"
 
 
-def cmd_run(args, out=None) -> int:
-    out = out or sys.stdout
+def cmd_run(args) -> int:
     with _open_evaluator(args) as evaluator:
         summary = evaluator(args.config)
-    print(SUMMARY_HEADER, file=out)
-    print(_summary_line(summary), file=out)
+    print(SUMMARY_HEADER)
+    print(_summary_line(summary))
     return 0
 
 
-def cmd_bruteforce(args, out=None) -> int:
-    out = out or sys.stdout
+def cmd_bruteforce(args) -> int:
     executed = swept = 0
     with _open_evaluator(args) as evaluator:
         for cfg in enumerate_all(args.free):
@@ -108,19 +106,15 @@ def cmd_bruteforce(args, out=None) -> int:
             if evaluator.missing_seeds(cfg_str):
                 evaluator(cfg_str)
                 executed += 1
-    print(f"configs\t{swept}", file=out)
-    print(f"executed\t{executed}", file=out)
-    print(f"skipped\t{swept - executed}", file=out)
+    print(f"configs\t{swept}")
+    print(f"executed\t{executed}")
+    print(f"skipped\t{swept - executed}")
     return 0
 
 
-def cmd_ga(args, out=None) -> int:
-    out = out or sys.stdout
+def cmd_ga(args) -> int:
     os.makedirs(args.out, exist_ok=True)
-    print(
-        "run\tga_seed\tfunction_id\tdimension\tbest_config\tert\tfce",
-        file=out,
-    )
+    print("run\tga_seed\tfunction_id\tdimension\tbest_config\tert\tfce")
     with _open_evaluator(args) as evaluator:
         problem = evaluator.problem
         for i in range(args.ga_runs):
@@ -143,8 +137,7 @@ def cmd_ga(args, out=None) -> int:
             print(
                 f"{i}\t{ga_seed}\t{problem.function_id}\t{problem.dimension}\t"
                 f"{last.best_config}\t{format_float(last.ert)}\t"
-                f"{format_float(last.fce)}",
-                file=out,
+                f"{format_float(last.fce)}"
             )
     return 0
 
@@ -230,8 +223,7 @@ def _incomplete(summaries: Sequence[FitnessSummary | None], what: str) -> bool:
     return missing > 0
 
 
-def report_rank(args, out=None) -> int:
-    out = out or sys.stdout
+def report_rank(args) -> int:
     with _open_evaluator(args) as evaluator:
         bf = [evaluator.cached(encode(cfg)) for cfg in enumerate_all(args.free)]
         if _incomplete(bf, "configurations"):
@@ -245,12 +237,12 @@ def report_rank(args, out=None) -> int:
     ga_fit = _aggregate_fitness(ga_summaries)
     rank = rank_aggregate([(s.ert, s.fce) for s in bf], ga_fit)
 
-    print(f"ga_aggregate_ert\t{format_float(ga_fit[0])}", file=out)
-    print(f"ga_aggregate_fce\t{format_float(ga_fit[1])}", file=out)
-    print(f"rank\t{rank}", file=out)
-    print("bucket\tcumulative_pct", file=out)
+    print(f"ga_aggregate_ert\t{format_float(ga_fit[0])}")
+    print(f"ga_aggregate_fce\t{format_float(ga_fit[1])}")
+    print(f"rank\t{rank}")
+    print("bucket\tcumulative_pct")
     for label, pct in rank_table([rank]):
-        print(f"{label}\t{pct:.2f}", file=out)
+        print(f"{label}\t{pct:.2f}")
     return 0
 
 
@@ -284,8 +276,7 @@ def report_activation(
     return groups, table
 
 
-def cmd_report_activation(args, out=None) -> int:
-    out = out or sys.stdout
+def cmd_report_activation(args) -> int:
     winners: list[tuple[ConfigurationVector, str]] = []
     with open(args.winners, encoding="utf-8") as fh:
         header = fh.readline().rstrip("\n").split("\t")
@@ -317,9 +308,9 @@ def cmd_report_activation(args, out=None) -> int:
     if not winners:
         raise MalformedInputError(f"{args.winners}:2: no winner line")
     groups, table = report_activation(winners)
-    print("module\t" + "\t".join(groups), file=out)
+    print("module\t" + "\t".join(groups))
     for name, row in table.items():
-        print(name + "\t" + "\t".join(row), file=out)
+        print(name + "\t" + "\t".join(row))
     return 0
 
 
@@ -337,20 +328,18 @@ def report_convergence(
     return rows
 
 
-def cmd_report_convergence(args, out=None) -> int:
-    out = out or sys.stdout
+def cmd_report_convergence(args) -> int:
     traces = _load_traces(args.traces)
     if not traces:
         return 3
-    print("generation\tmean_ert\tmean_fce", file=out)
+    print("generation\tmean_ert\tmean_fce")
     for gen, ert, fce in report_convergence(traces):
-        print(f"{gen}\t{format_float(ert)}\t{format_float(fce)}", file=out)
+        print(f"{gen}\t{format_float(ert)}\t{format_float(fce)}")
     return 0
 
 
-def cmd_suite(args, out=None) -> int:
-    out = out or sys.stdout
-    out.write(benchmarks.suite_manifest(benchmarks.make_suite()))
+def cmd_suite(args) -> int:
+    sys.stdout.write(benchmarks.suite_manifest(benchmarks.make_suite()))
     return 0
 
 

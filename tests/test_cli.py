@@ -4,6 +4,7 @@ from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
+import modcmaes
 from modcmaes import cli, evaluation
 from modcmaes.benchmarks import make_problem
 from modcmaes.cli import (
@@ -642,6 +643,11 @@ class TestSuiteCommand:
 
 
 class TestCachedEvaluator:
+    def test_one_class_under_every_name(self):
+        """perfbench reaches the evaluator through ``modcmaes.cli``."""
+        assert (cli.CachedEvaluator is evaluation.CachedEvaluator
+                is modcmaes.CachedEvaluator)
+
     def test_duplicate_lookup_runs_nothing(self, tmp_path):
         cache = ResultsCache(str(tmp_path / "c.tsv"))
         problem = make_problem("sphere", 2)
