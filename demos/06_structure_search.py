@@ -14,7 +14,6 @@ import tempfile
 from modcmaes import (
     CachedEvaluator,
     ResultsCache,
-    compare,
     encode,
     enumerate_all,
     make_problem,
@@ -38,10 +37,7 @@ with tempfile.TemporaryDirectory(prefix="structure-search-") as workdir:
         ert = "NA" if s.ert is None else f"{s.ert:8.1f}"
         print(f"  {s.config}  ert {ert}  fce {s.fce:.2e}")
 
-    best = None
-    for s in summaries.values():
-        if best is None or compare(s, best).winner == "A":
-            best = s
+    best = min(summaries.values(), key=lambda s: s.key)  # ERT-first
     print(f"brute-force best: {best.config} (ert {best.ert:.1f})")
     print(f"ES runs executed so far: {evaluator.runs_executed}")
 

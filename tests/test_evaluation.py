@@ -198,29 +198,31 @@ def _reference_compare_fitness(ert_a, fce_a, ert_b, fce_b):
     return "tie", "fce"
 
 
-# Few distinct values, so equal ERTs (with equal or different FCEs) and
-# equal FCEs are common; NaN compares false both ways and must tie.
-_ERT = st.one_of(st.none(), st.sampled_from([10.0, 20.0]),
-                 st.floats(1.0, 1e6))
-_FCE = st.one_of(st.sampled_from([0.0, 1.0, math.inf, math.nan]),
+_ERT = st.one_of(st.none(), st.floats(1.0, 1e6))
+_FCE = st.one_of(st.sampled_from([0.0, math.inf, math.nan]),
                  st.floats(0.0, 1e6))
 
 
 @settings(max_examples=500, deadline=None)
-@given(ert_a=_ERT, fce_a=_FCE, ert_b=_ERT, fce_b=_FCE)
-def test_compare_fitness_truth_table(ert_a, fce_a, ert_b, fce_b):
+@given(ert_a=_ERT, fce_a=_FCE, ert_b=_ERT, fce_b=_FCE,
+       same_ert=st.booleans(), same_fce=st.booleans())
+def test_compare_fitness_truth_table(ert_a, fce_a, ert_b, fce_b, same_ert,
+                                     same_fce):
+    """compare_fitness and fitness_key keep the reference's order; NaN
+    compares false both ways, so it ties."""
+    if same_ert:
+        ert_b = ert_a
+    if same_fce:
+        fce_b = fce_a
     expected = _reference_compare_fitness(ert_a, fce_a, ert_b, fce_b)
+    if ert_a is not None and ert_a == ert_b:
+        assert expected == ("tie", "ert")  # whatever the FCEs
     assert compare_fitness(ert_a, fce_a, ert_b, fce_b) == expected
     a, b = fitness_key(ert_a, fce_a), fitness_key(ert_b, fce_b)
     assert ("A" if a < b else "B" if b < a else "tie") == expected[0]
     summary = _summary(ert_a, fce_a)
     assert summary.key == a
     assert summary.key is summary.key  # built once
-
-
-@pytest.mark.parametrize("fce_b", [0.0, 2.0, math.inf, math.nan])
-def test_equal_erts_tie_on_ert_whatever_the_fces(fce_b):
-    assert compare_fitness(10.0, 1.0, 10.0, fce_b) == ("tie", "ert")
 
 
 def _t_tail_oracle(t: float, df: int) -> float:
