@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass, field
-from functools import cache
+from functools import cache, cached_property
 from typing import Callable
 
 import numpy as np
@@ -173,6 +173,10 @@ class Problem:
     target_precision: float = DEFAULT_TARGET
     aux: dict = field(default_factory=dict)
 
+    @cached_property
+    def _unrotated(self) -> bool:
+        return bool((self.rotation == np.eye(self.dimension)).all())
+
     @property
     def lower(self) -> np.ndarray:
         return np.full(self.dimension, LOWER)
@@ -189,6 +193,13 @@ class Problem:
         point is evaluated as the block of its one row, and row i of any
         block has the bits of ``error(x[i])``: a point's error never
         depends on the block it was evaluated in.
+
+        An identity rotation (sphere, ellipsoid_separable,
+        rastrigin_separable, gallagher) is skipped: on finite rows its
+        product gives the bits of ``x - x_opt``. A row holding an infinity
+        then escapes the product's ``0 * inf = NaN``: it reads ``inf`` on
+        sphere and ellipsoid_separable, still ``NaN`` on
+        rastrigin_separable, and ``100.0``, its limit, on gallagher.
         """
         x = np.asarray(x, dtype=float)
         if x.ndim not in (1, 2) or x.shape[-1] != self.dimension:
@@ -196,9 +207,10 @@ class Problem:
                 f"expected shape ({self.dimension},) or (n, {self.dimension}),"
                 f" got {x.shape}"
             )
-        v = x.reshape(-1, self.dimension) - self.x_opt
-        # A stacked matrix-vector product: the bits of rotation.T @ v[i].
-        z = np.matmul(self.rotation.T, v[:, :, None])[:, :, 0]
+        z = x.reshape(-1, self.dimension) - self.x_opt
+        if not self._unrotated:
+            # A stacked matrix-vector product: the bits of rotation.T @ z[i].
+            z = np.matmul(self.rotation.T, z[:, :, None])[:, :, 0]
         err = FUNCTIONS[self.function_id].raw(z, self.aux)
         return float(err[0]) if x.ndim == 1 else err
 

@@ -169,7 +169,7 @@ def evaluate_offspring(
             break
         blocks.append(objective(X[i : i + 1]))
         improved = bool(blocks[-1][0] < f_best)
-    return np.concatenate(blocks)
+    return blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
 
 
 def select(
@@ -185,25 +185,21 @@ def select(
     Pairwise selection keeps the better of rows 2i and 2i+1, elitism adds
     the previous ``parents``; ties keep the earlier candidate.
     """
-    n = len(f)
     if cfg.pairwise:
-        a = np.arange(0, n, 2)
-        b = np.minimum(a + 1, n - 1)
+        a = np.arange(0, len(f), 2)
+        b = np.minimum(a + 1, len(f) - 1)
         rows = np.where(f.take(b) < f.take(a), b, a)
-    else:
-        rows = np.arange(n)
+        f, Y, X = f.take(rows), Y.take(rows, axis=0), X.take(rows, axis=0)
     if cfg.elitist and parents is not None:
         f_par, y_par, x_par = parents
-        rows = np.concatenate((rows, np.arange(n, n + len(f_par))))
         f = np.concatenate((f, f_par))
         Y = np.concatenate((Y, y_par))
         X = np.concatenate((X, x_par))
-    if len(rows) < mu:
+    if len(f) < mu:
         raise SelectionShortfallError(
-            f"need {mu} parents but only {len(rows)} candidates"
+            f"need {mu} parents but only {len(f)} candidates"
         )
-    # One row-index array gathers each of f, Y and X once.
-    best = rows.take(f.take(rows).argsort(kind="stable")[:mu])
+    best = f.argsort(kind="stable")[:mu]
     return f.take(best), Y.take(best, axis=0), X.take(best, axis=0)
 
 
@@ -227,6 +223,8 @@ def _symmetrize(C: np.ndarray, triu_mask: np.ndarray) -> np.ndarray:
     return np.where(triu_mask, C, C.T) + 0.0
 
 
+# One errstate for every call: as a decorator it needs no new object a call.
+@np.errstate(all="ignore", invalid="raise")
 def _eigh(C: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``np.linalg.eigh(C)`` of a float matrix without its Python wrapper.
 
@@ -237,8 +235,7 @@ def _eigh(C: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     ``LinAlgError`` for it, and returns any other NaN result as it is.
     """
     try:
-        with np.errstate(all="ignore", invalid="raise"):
-            return _eigh_lo(C, signature="d->dd")
+        return _eigh_lo(C, signature="d->dd")
     except FloatingPointError:
         raise np.linalg.LinAlgError("Eigenvalues did not converge") from None
 
@@ -273,6 +270,7 @@ class StrategyParams:
         )
 
         self.weights = recombination_weights(self.mu, cfg.weights_option)
+        self.weight_col = self.weights[:, None]  # broadcasts over rows
         self.mu_eff = 1.0 / float(self.weights @ self.weights)
 
         m = self.mu_eff
@@ -404,21 +402,21 @@ def adapt(
     )
     p.p_c = (1.0 - p.c_c) * p.p_c + h_sig * p.pc_coef * dm
 
-    w = p.weights[: len(selected_y)]
-    rank_mu = (w[:, None] * selected_y).T @ selected_y
+    w = p.weight_col[: len(selected_y)]
+    rank_mu = (w * selected_y).T @ selected_y
     # h_sig is 0.0 or 1.0, so (1 - h_sig) * c_c_var has the bits of
     # (1 - h_sig) * c_c * (2 - c_c).
     dhs = (1.0 - h_sig) * p.c_c_var
     p.C = (
         (p.c_keep + p.c_1 * dhs) * p.C
-        + p.c_1 * (p.p_c[:, None] * p.p_c)
+        + p.c_1 * np.multiply.outer(p.p_c, p.p_c)
         + p.c_mu * rank_mu
     )
 
     if cfg.active and len(evaluated_f):
         yw = evaluated_y[np.argsort(-evaluated_f, kind="stable")[: p.mu]]
-        ww = p.weights[: len(yw)]
-        p.C -= p.beta_active * ((ww[:, None] * yw).T @ yw)
+        ww = p.weight_col[: len(yw)]
+        p.C -= p.beta_active * ((ww * yw).T @ yw)
 
     p.C = _symmetrize(p.C, p.triu_mask)
     p.t += 1
@@ -470,21 +468,25 @@ class _Accountant:
         room = self.budget - self.used
         if room <= 0:
             raise _RunOver
-        rows = X[:room]
-        err = self.problem.error(rows)
-        best = np.minimum.accumulate(np.minimum(err, self.best_error))
-        if not best[-1] > -math.inf:  # a NaN or -inf row counts as +inf
+        cut = room < len(X)
+        err = self.problem.error(X[:room] if cut else X)
+        best = np.minimum(err, self.best_error)
+        if len(best) > 1:  # the running minimum of one row is that row
+            best = np.minimum.accumulate(best)
+        last = float(best[-1])
+        if not last > -math.inf:  # a NaN or -inf row counts as +inf
             err = np.where(np.isfinite(err), err, math.inf)
             best = np.minimum.accumulate(np.minimum(err, self.best_error))
+            last = float(best[-1])
         start = self.used
         self.used += len(err)
-        self.best_error = float(best[-1])
+        self.best_error = last
         if self.trajectory is not None:
             self.trajectory.append(best)
-        if self.best_error <= self.target:
+        if last <= self.target:
             self.hit_index = start + 1 + int(np.argmax(best <= self.target))
             raise _RunOver
-        if len(rows) < len(X):
+        if cut:
             raise _RunOver
         return err
 
@@ -534,8 +536,9 @@ def _run_local(
         f = evaluate_offspring(
             X, acct, cfg.sequential, params.seq_cutoff, acct.best_error
         )
-        Y = Y[: len(f)]
-        params.parents = select(f, Y, X[: len(f)], params.parents, params.mu, cfg)
+        if len(f) < len(X):  # sequential selection cut the generation
+            Y, X = Y[: len(f)], X[: len(f)]
+        params.parents = select(f, Y, X, params.parents, params.mu, cfg)
         f_par, y_par, x_par = params.parents
 
         old_mean = params.mean

@@ -236,7 +236,7 @@ class Sampler:
         self.count = count
         d = spec.dimension
         self._fresh_n = (count + 1) // 2 if spec.mirrored else count
-        self._ahead = np.empty((0, count, d))  # batches made, not served
+        self._ahead, self._served = np.empty((0, count, d)), 0  # batches, served
         self._k = 0
         if spec.base == "gaussian":
             self._rng = np.random.default_rng(spec.seed)
@@ -291,14 +291,14 @@ class Sampler:
             batch[:, 0::2] = fresh
             batch[:, 1::2] = -fresh
             fresh = batch[:, :self.count]
-        self._ahead = fresh
+        self._ahead, self._served = fresh, 0
 
     def next_batch(self) -> np.ndarray:
         """Return the next ``count`` vectors as a (count, D) array."""
-        if not len(self._ahead):
+        if self._served == len(self._ahead):
             self._refill()
-        batch, self._ahead = self._ahead[0], self._ahead[1:]
-        return batch
+        self._served += 1
+        return self._ahead[self._served - 1]
 
 
 def next_batch(spec: SamplerSpec, count: int) -> np.ndarray:

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -91,6 +92,55 @@ def test_block_rows_match_points_bitwise(fid, dim):
         points = [p.error(x) for x in X]
         assert all(type(v) is float for v in points)
         assert block.tobytes() == np.array(points).tobytes()
+
+
+def _through_identity(p, X):
+    """The reference: the error with the product by the identity rotation."""
+    z = np.matmul(p.rotation.T, (X - p.x_opt)[:, :, None])[:, :, 0]
+    return FUNCTIONS[p.function_id].raw(z, p.aux)
+
+
+_UNROTATED = ("sphere", "ellipsoid_separable", "rastrigin_separable",
+              "gallagher")
+
+
+@pytest.mark.parametrize("fid", _UNROTATED)
+@pytest.mark.parametrize("dim", DIMENSIONS)
+def test_unrotated_skip_keeps_the_identity_product_bits(fid, dim):
+    p = make_problem(fid, dim)
+    assert not FUNCTIONS[fid].rotated
+    assert np.array_equal(p.rotation, np.eye(dim))
+    rng = np.random.default_rng(dim)
+    for n in (1, 6, 48):
+        scale = 10.0 ** rng.integers(-12, 2, size=(n, 1))
+        X = p.x_opt + scale * rng.uniform(-5.0, 5.0, size=(n, dim))
+        X[0] = p.x_opt  # a row at the optimum reads exactly 0.0 both ways
+        X[-1, 0] = -0.0
+        assert p.error(X).tobytes() == _through_identity(p, X).tobytes()
+    assert p.error(p.x_opt) == 0.0
+
+
+@pytest.mark.parametrize("fid", _UNROTATED)
+@pytest.mark.parametrize("dim", DIMENSIONS)
+def test_unrotated_skip_on_infinite_rows(fid, dim):
+    """Without the product, an infinity no longer turns a row into NaN."""
+    p = make_problem(fid, dim)
+    X = np.tile(p.x_opt, (3, 1))
+    X[0, 0], X[1, -1] = math.inf, -math.inf
+    with np.errstate(invalid="ignore"):
+        got, product = p.error(X), _through_identity(p, X)
+    assert np.isnan(product[:2]).all() and product[2] == 0.0
+    want = {"sphere": math.inf, "ellipsoid_separable": math.inf,
+            "rastrigin_separable": math.nan, "gallagher": 100.0}[fid]
+    np.testing.assert_array_equal(got, [want, want, 0.0])  # NaN == NaN here
+
+
+@pytest.mark.parametrize("fid", sorted(set(FUNCTIONS) - set(_UNROTATED)))
+def test_rotated_functions_keep_the_product(fid):
+    p = make_problem(fid, 5)
+    assert not np.array_equal(p.rotation, np.eye(5))
+    X = np.random.default_rng(1).uniform(-5.0, 5.0, size=(4, 5))
+    assert p.error(X).tobytes() == _through_identity(p, X).tobytes()
 
 
 @pytest.mark.parametrize("shape", [(4,), (2, 4), (2, 1), (1, 2, 3), ()],

@@ -11,8 +11,10 @@ from modcmaes.core import (
     SelectionShortfallError,
     StrategyParams,
     ZeroMutationError,
+    _Accountant,
     _eigh,
     _local_stop,
+    _RunOver,
     _symmetrize,
     adapt,
     apply_threshold,
@@ -238,6 +240,60 @@ class TestSelect:
     def test_shortfall_raises(self):
         with pytest.raises(SelectionShortfallError):
             select(*_gen([1.0]), None, mu=2, cfg=DEFAULT)
+
+
+def _select_by_rows(f, Y, X, parents, mu, cfg):
+    """The reference: ``select`` gathering through one row-index array,
+    an identity index when pairwise selection is off."""
+    n = len(f)
+    if cfg.pairwise:
+        a = np.arange(0, n, 2)
+        b = np.minimum(a + 1, n - 1)
+        rows = np.where(f.take(b) < f.take(a), b, a)
+    else:
+        rows = np.arange(n)
+    if cfg.elitist and parents is not None:
+        f_par, y_par, x_par = parents
+        rows = np.concatenate((rows, np.arange(n, n + len(f_par))))
+        f = np.concatenate((f, f_par))
+        Y = np.concatenate((Y, y_par))
+        X = np.concatenate((X, x_par))
+    if len(rows) < mu:
+        raise SelectionShortfallError(f"need {mu} parents")
+    best = rows.take(f.take(rows).argsort(kind="stable")[:mu])
+    return f.take(best), Y.take(best, axis=0), X.take(best, axis=0)
+
+
+# Few distinct values, so that ties are common, and +inf.
+_VALUES = st.sampled_from([-1.0, 0.0, 0.5, 2.0, math.inf]) | st.floats(-3, 3)
+
+
+@settings(max_examples=400)
+@given(data=st.data(), n=st.integers(1, 24), pairwise=st.booleans(),
+       elitist=st.booleans(), n_parents=st.integers(0, 12))
+def test_select_matches_row_index_reference(data, n, pairwise, elitist,
+                                            n_parents):
+    cfg = decode(f"0{int(elitist)}00000{int(pairwise)}000")
+    mu = data.draw(st.integers(1, n), label="mu")
+    f = np.array(data.draw(st.lists(_VALUES, min_size=n, max_size=n)))
+    # Every row of Y and X is distinct, so a wrong gather shows.
+    Y = np.arange(2.0 * n).reshape(n, 2)
+    X = -Y - 0.5
+    parents = None
+    if n_parents:
+        f_par = np.array(data.draw(
+            st.lists(_VALUES, min_size=n_parents, max_size=n_parents)))
+        y_par = 100.0 + np.arange(2.0 * n_parents).reshape(n_parents, 2)
+        parents = (f_par, y_par, -y_par)
+    try:
+        want = _select_by_rows(f, Y, X, parents, mu, cfg)
+    except SelectionShortfallError:
+        with pytest.raises(SelectionShortfallError):
+            select(f, Y, X, parents, mu, cfg)
+        return
+    got = select(f, Y, X, parents, mu, cfg)
+    assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+    assert got[0].shape == (mu,) and got[1].shape == got[2].shape == (mu, 2)
 
 
 class TestRecombination:
@@ -826,3 +882,72 @@ def test_block_accounting(structure, function, dim, budget, target, seed):
         rec.evaluations_used, rec.best_error, rec.hit_index, rec.restarts,
         rec.generation_best_f)
     assert again.trajectory.tobytes() == rec.trajectory.tobytes()
+
+
+class _ReferenceAccountant(_Accountant):
+    """The reference: the accountant that slices every block and runs the
+    running minimum on every block, one-row blocks too."""
+
+    def __call__(self, X):
+        room = self.budget - self.used
+        if room <= 0:
+            raise _RunOver
+        rows = X[:room]
+        err = self.problem.error(rows)
+        best = np.minimum.accumulate(np.minimum(err, self.best_error))
+        if not best[-1] > -math.inf:
+            err = np.where(np.isfinite(err), err, math.inf)
+            best = np.minimum.accumulate(np.minimum(err, self.best_error))
+        start = self.used
+        self.used += len(err)
+        self.best_error = float(best[-1])
+        if self.trajectory is not None:
+            self.trajectory.append(best)
+        if self.best_error <= self.target:
+            self.hit_index = start + 1 + int(np.argmax(best <= self.target))
+            raise _RunOver
+        if len(rows) < len(X):
+            raise _RunOver
+        return err
+
+
+class _ColumnProblem:
+    """A problem whose error of a row is the row's first entry."""
+
+    def error(self, X):
+        return X[:, 0].copy()
+
+
+_ERRORS = st.sampled_from(
+    [math.nan, math.inf, -math.inf, 0.0, 1e-9, 0.5, 3.0]
+) | st.floats(0.0, 10.0)
+
+
+@settings(max_examples=400)
+@given(
+    blocks=st.lists(st.lists(_ERRORS, min_size=1, max_size=8),
+                    min_size=1, max_size=10),
+    budget=st.integers(1, 40),
+    target=st.sampled_from([1e-8, 0.5, 2.0]),
+    record=st.booleans(),
+)
+def test_accountant_matches_reference(blocks, budget, target, record):
+    lean = _Accountant(_ColumnProblem(), budget, target, record)
+    ref = _ReferenceAccountant(_ColumnProblem(), budget, target, record)
+    for block in blocks:
+        X = np.column_stack((block, np.zeros(len(block))))
+        # Calls go on after the run is over, to reach the spent budget.
+        try:
+            want = ref(X.copy())
+        except _RunOver:
+            with pytest.raises(_RunOver):
+                lean(X.copy())
+        else:
+            assert lean(X.copy()).tobytes() == want.tobytes()
+        assert (lean.used, lean.hit_index) == (ref.used, ref.hit_index)
+        assert type(lean.best_error) is float
+        assert repr(lean.best_error) == repr(ref.best_error)
+        if record:
+            assert len(lean.trajectory) == len(ref.trajectory)
+            assert all(a.tobytes() == b.tobytes()
+                       for a, b in zip(lean.trajectory, ref.trajectory))
