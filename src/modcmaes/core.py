@@ -140,7 +140,7 @@ def apply_threshold(z: np.ndarray, threshold: float) -> np.ndarray:
     short = ~(norm >= threshold)
     if not short.any():
         return z
-    if not norm[short].all():
+    if not norm.all():  # only a short vector can be zero long
         raise ZeroMutationError("cannot scale a zero vector to the threshold")
     return z * np.where(short, (2.0 * threshold - norm) / norm, 1.0)[..., None]
 
