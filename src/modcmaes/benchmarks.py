@@ -161,7 +161,8 @@ def _random_rotation(dimension: int, rng: np.random.Generator) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Problem:
-    """One shifted/rotated minimization problem on [-5, 5]^D."""
+    """One shifted/rotated minimization problem on [-5, 5]^D; its
+    ``target_precision`` is the one target of a run, its ERT and ``compare``."""
 
     function_id: str
     dimension: int

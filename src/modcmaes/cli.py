@@ -73,8 +73,7 @@ def _open_evaluator(args) -> Iterator[CachedEvaluator]:
     with run_map(min(args.jobs, args.runs)) as map_fn:
         yield CachedEvaluator(
             problem, ResultsCache(args.cache), n_runs=args.runs,
-            budget=args.budget, base_seed=args.seed, target=args.target,
-            map_fn=map_fn,
+            budget=args.budget, base_seed=args.seed, map_fn=map_fn,
         )
 
 
@@ -388,7 +387,6 @@ def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--runs", type=positive_int, default=32)
     p.add_argument("--budget", type=positive_int, default=None,
                    help="evaluations per run (default 1000*dim)")
-    p.add_argument("--target", type=float, default=None)
     p.add_argument("--seed", type=non_negative_int, default=0)
     p.add_argument("--jobs", type=positive_int, default=1)
     p.add_argument("--cache", required=True)

@@ -570,25 +570,24 @@ def run(
     problem,
     budget: int,
     seed: int,
-    target: float | None = None,
     record_trajectory: bool = False,
     record_generations: bool = False,
 ) -> RunRecord:
     """Execute one seeded ES run under a fixed evaluation budget.
 
-    The run stops when the error target is reached, the budget is
-    exhausted, or (without a restart regime) a local stop criterion
-    fires. Identical arguments always reproduce the identical record.
+    It stops at ``problem.target_precision``, at the budget, or (without
+    a restart regime) when a local stop criterion fires. Of ``problem`` it
+    reads ``dimension``, ``lower``, ``upper``, ``target_precision``,
+    ``function_id`` and ``error``. Identical arguments give one record.
     """
     if isinstance(cfg, str):
         cfg = decode(cfg)
     if budget < 1:
         raise ValueError("budget must be >= 1")
     d = problem.dimension
-    if target is None:
-        target = getattr(problem, "target_precision", 1e-8)
     rng = np.random.default_rng(seed)
-    acct = _Accountant(problem, budget, target, record_trajectory)
+    acct = _Accountant(problem, budget, problem.target_precision,
+                       record_trajectory)
     generation_best: list[float] | None = [] if record_generations else None
 
     lam0 = default_lambda(d)
@@ -634,7 +633,7 @@ def run(
 
     return RunRecord(
         config=encode(cfg),
-        function_id=getattr(problem, "function_id", "?"),
+        function_id=problem.function_id,
         dimension=d,
         seed=seed,
         evaluations_used=acct.used,

@@ -23,7 +23,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .benchmarks import default_budget
+from .benchmarks import DEFAULT_TARGET, default_budget
 from .configuration import ConfigurationVector, encode
 from .core import ENGINE_VERSION, RunRecord, run
 
@@ -37,7 +37,6 @@ __all__ = [
     "compute_ert",
     "summarize",
     "compare",
-    "compare_fitness",
     "fitness_key",
     "welch_uncertainty",
     "subsample_uncertainty",
@@ -57,7 +56,7 @@ def format_float(x: float | None) -> str:
 
 class MalformedInputError(ValueError):
     """A malformed cache, trace or winners file; the message starts with
-    ``<file>:<line>:``."""
+    ``<file>:``, then ``<line>:`` when one line is at fault."""
 
 
 def fitness_key(ert: float | None, fce: float) -> tuple[int, float]:
@@ -91,7 +90,7 @@ class FitnessSummary:
 @dataclass(frozen=True)
 class ComparisonResult:
     winner: str  # "A", "B" or "tie"
-    basis: str  # "ert" or "fce"
+    basis: str  # "fce" when neither side has an ERT, else "ert"
     d: float
     uncertainty: float
 
@@ -149,7 +148,6 @@ def execute_runs(
     problem,
     budget: int | None,
     seeds,
-    target: float | None = None,
     map_fn=map,
 ) -> list[RunRecord]:
     """One seeded run per seed through ``map_fn``, in seed order.
@@ -159,7 +157,7 @@ def execute_runs(
     """
     if budget is None:
         budget = default_budget(problem.dimension)
-    return list(map_fn(partial(run, cfg, problem, budget, target=target), seeds))
+    return list(map_fn(partial(run, cfg, problem, budget), seeds))
 
 
 def run_batch(
@@ -168,7 +166,6 @@ def run_batch(
     n: int = 32,
     budget: int | None = None,
     seed: int = 0,
-    target: float | None = None,
     jobs: int = 1,
 ) -> FitnessSummary:
     """n independent seeded runs (seeds ``seed + i``), aggregated.
@@ -180,38 +177,27 @@ def run_batch(
         raise ValueError("n must be >= 1")
     seeds = range(seed, seed + n)
     with run_map(min(jobs, n)) as map_fn:
-        records = execute_runs(cfg, problem, budget, seeds, target, map_fn)
+        records = execute_runs(cfg, problem, budget, seeds, map_fn)
     return summarize(records)
 
 
-def compare_fitness(
-    ert_a: float | None, fce_a: float, ert_b: float | None, fce_b: float
-) -> tuple[str, str]:
-    """ERT-first ordering on two (ERT, FCE) pairs -> (winner, basis),
-    by :func:`fitness_key`; the basis is "fce" only when neither side
-    has an ERT."""
-    a, b = fitness_key(ert_a, fce_a), fitness_key(ert_b, fce_b)
-    winner = "A" if a < b else "B" if b < a else "tie"
-    return winner, "fce" if a[0] and b[0] else "ert"
-
-
 def _relative_distance(
-    a: FitnessSummary, b: FitnessSummary, winner: str, basis: str, target: float
+    a: FitnessSummary, b: FitnessSummary, winner: str, basis: str
 ) -> float:
     """Relative distance of the two summaries on the comparison basis.
 
     With both values on the same scale, d = (worse - better) / better.
     When only one side has an ERT, the distance is taken between the
-    loser's FCE and the target value, on the target's scale; it is 0
-    when that FCE is at or below ``target``, as it can be when the
-    loser's runs aimed at a lower target.
+    loser's FCE and :data:`~modcmaes.benchmarks.DEFAULT_TARGET`, on the
+    target's scale; it is 0 when that FCE is at or below the target, as
+    it can be for a problem whose own target is lower.
     """
     if winner == "tie":
         return 0.0
     if basis == "ert":
         if a.ert is None or b.ert is None:
             loser_fce = b.fce if winner == "A" else a.fce
-            return max(loser_fce - target, 0.0) / target
+            return max(loser_fce - DEFAULT_TARGET, 0.0) / DEFAULT_TARGET
         lo, hi = sorted((a.ert, b.ert))
     else:
         lo, hi = sorted((a.fce, b.fce))
@@ -220,12 +206,12 @@ def _relative_distance(
     return (hi - lo) / lo
 
 
-def compare(
-    a: FitnessSummary, b: FitnessSummary, target: float = 1e-8
-) -> ComparisonResult:
-    """ERT-first comparison of two summaries over the same problem."""
-    winner, basis = compare_fitness(a.ert, a.fce, b.ert, b.fce)
-    d = _relative_distance(a, b, winner, basis, target)
+def compare(a: FitnessSummary, b: FitnessSummary) -> ComparisonResult:
+    """ERT-first comparison of two summaries over the same problem: the
+    lower :attr:`FitnessSummary.key` wins."""
+    winner = "A" if a.key < b.key else "B" if b.key < a.key else "tie"
+    basis = "fce" if a.key[0] and b.key[0] else "ert"
+    d = _relative_distance(a, b, winner, basis)
     better = a if winner != "B" else b
     n = min(a.n, b.n)
     if winner == "tie":
@@ -449,7 +435,8 @@ class CachedEvaluator:
     all n seeded runs are there and never executes a run; a call first
     executes the missing runs through ``map_fn`` (the builtin ``map``,
     or a pool's from :func:`run_map`) and appends them in seed order.
-    Each structure is summarized once, into one immutable summary.
+    Each structure is summarized once, into one immutable summary. A
+    record written at another target raises :class:`MalformedInputError`.
     """
 
     def __init__(
@@ -459,7 +446,6 @@ class CachedEvaluator:
         n_runs: int = 32,
         budget: int | None = None,
         base_seed: int = 0,
-        target: float | None = None,
         map_fn=map,
     ):
         self.problem = problem
@@ -467,7 +453,6 @@ class CachedEvaluator:
         self.n_runs = n_runs
         self.budget = budget
         self.base_seed = base_seed
-        self.target = target
         self.map_fn = map_fn
         self.runs_executed = 0
         self.seeds = [base_seed + i for i in range(n_runs)]
@@ -475,9 +460,16 @@ class CachedEvaluator:
         # and its string share one summary.
         self._summaries: dict[ConfigurationVector | str, FitnessSummary] = {}
         self._mem: dict[str, dict[int, RunRecord]] = {}
+        target = problem.target_precision
         for r in cache.records():
             if (r.function_id == problem.function_id
                     and r.dimension == problem.dimension):
+                if (r.hit_index is None) == (r.best_error <= target):
+                    hit = "NA" if r.hit_index is None else r.hit_index
+                    raise MalformedInputError(
+                        f"{cache.path}: {r.config} seed {r.seed} has best_error "
+                        f"{r.best_error!r} and hit_index {hit}, so it was "
+                        f"written at a target other than {target!r}")
                 self._mem.setdefault(r.config, {})[r.seed] = r
 
     def missing_seeds(self, cfg_str: str) -> list[int]:
@@ -503,7 +495,7 @@ class CachedEvaluator:
         if summary is None:
             new = execute_runs(
                 cfg_str, self.problem, self.budget,
-                self.missing_seeds(cfg_str), self.target, self.map_fn,
+                self.missing_seeds(cfg_str), self.map_fn,
             )
             self.runs_executed += len(new)
             self.cache.append(new)

@@ -82,6 +82,70 @@ def test_ga_budget_below_lambda_rejected(tmp_path, capsys):
     assert not os.path.exists(cache) and not os.path.exists(out_dir)
 
 
+def test_target_option_is_gone(tmp_path, capsys):
+    """The target is the problem's; there is no option to set another."""
+    cache = str(tmp_path / "cache.tsv")
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--config", "00000000000", *BASE, "--runs", "4",
+              "--target", "1e2", "--cache", cache])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --target 1e2" in capsys.readouterr().err
+    assert not os.path.exists(cache)
+
+
+# The four records that `run --config 00000000000 --function sphere --dim 2
+# --runs 4 --budget 50 --target 1e2` wrote while the option existed: each
+# "hit" a target of 100, none the problem's 1e-8.
+FOREIGN_TARGET_CACHE = CACHE_HEADER + (
+    "00000000000\tsphere\t2\t0\t6\t1.1631502592902836\t1\n"
+    "00000000000\tsphere\t2\t1\t6\t19.819945907733246\t2\n"
+    "00000000000\tsphere\t2\t2\t6\t1.4717331259803998\t1\n"
+    "00000000000\tsphere\t2\t3\t6\t56.81501363666213\t1\n"
+)
+
+
+class TestForeignTargetRecords:
+    def _cache(self, tmp_path):
+        path = str(tmp_path / "cache.tsv")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(FOREIGN_TARGET_CACHE)
+        return path
+
+    def test_evaluator_refuses_them(self, tmp_path):
+        path = self._cache(tmp_path)
+        with pytest.raises(evaluation.MalformedInputError) as exc:
+            CachedEvaluator(make_problem("sphere", 2), ResultsCache(path),
+                            n_runs=4, budget=50)
+        assert str(exc.value) == (
+            f"{path}: 00000000000 seed 0 has best_error 1.1631502592902836 "
+            "and hit_index 1, so it was written at a target other than 1e-08")
+
+    def test_a_miss_below_the_target_is_refused_too(self, tmp_path):
+        path = str(tmp_path / "cache.tsv")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(CACHE_HEADER + "00000000000\tsphere\t2\t5\t50\t1e-09\tNA\n")
+        with pytest.raises(evaluation.MalformedInputError,
+                           match="seed 5 has best_error 1e-09 and hit_index NA"):
+            CachedEvaluator(make_problem("sphere", 2), ResultsCache(path))
+
+    def test_other_problems_records_are_not_checked(self, tmp_path):
+        path = self._cache(tmp_path)
+        ev = CachedEvaluator(make_problem("sphere", 3), ResultsCache(path),
+                             n_runs=4)
+        assert ev.missing_seeds("00000000000") == [0, 1, 2, 3]
+
+    def test_run_exits_2_and_keeps_the_bytes(self, tmp_path, capsys):
+        path = self._cache(tmp_path)
+        code, out, err = _run_cli(
+            ["run", "--config", "00000000000", *BASE, "--runs", "4",
+             "--cache", path], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"{path}: 00000000000 seed 0 ")
+        assert err.count("\n") == 1
+        with open(path, "rb") as fh:
+            assert fh.read() == FOREIGN_TARGET_CACHE.encode()
+
+
 class TestCmdRun:
     def test_appends_one_line_per_run(self, tmp_path, capsys):
         cache = str(tmp_path / "cache.tsv")

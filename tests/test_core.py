@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -662,6 +663,11 @@ class TestLocalStop:
         assert _local_stop(p, 1.0) is None
 
 
+def _with_target(problem, target):
+    """``problem`` with the target precision its runs stop at replaced."""
+    return dataclasses.replace(problem, target_precision=target)
+
+
 class _CountingProblem:
     """Proxies a problem while counting the rows it evaluates."""
 
@@ -709,8 +715,8 @@ class TestRun:
         ],
     )
     def test_evaluation_accounting_exact(self, config):
-        counting = _CountingProblem(make_problem("sphere", 2))
-        rec = run(config, counting, budget=700, seed=3, target=0.0)
+        counting = _CountingProblem(_with_target(make_problem("sphere", 2), 0.0))
+        rec = run(config, counting, budget=700, seed=3)
         assert rec.evaluations_used == counting.calls
 
     def test_best_so_far_non_increasing(self):
@@ -735,12 +741,12 @@ class TestRun:
         assert rec.best_error > p.target_precision
 
     def test_none_regime_stops_early_when_criterion_fires(self):
-        p = make_problem("rastrigin_separable", 2)
-        rec = run(DEFAULT, p, budget=10**6, seed=5, target=0.0)
+        p = _with_target(make_problem("rastrigin_separable", 2), 0.0)
+        rec = run(DEFAULT, p, budget=10**6, seed=5)
         assert rec.evaluations_used < 10**6
 
     def test_elitism_generation_monotone(self):
-        p = make_problem("rastrigin_separable", 2)
+        p = _with_target(make_problem("rastrigin_separable", 2), 0.0)
         for seed in range(10):
             rec = run(
                 ELITIST,
@@ -748,20 +754,19 @@ class TestRun:
                 budget=1200,
                 seed=seed,
                 record_generations=True,
-                target=0.0,
             )
             g = rec.generation_best_f
             assert len(g) >= 1
             assert all(b <= a + 1e-15 for a, b in zip(g, g[1:]))
 
     def test_ipop_restarts_grow_population(self):
-        p = make_problem("rastrigin_separable", 2)
-        rec = run("00000000001", p, budget=6000, seed=1, target=0.0)
+        p = _with_target(make_problem("rastrigin_separable", 2), 0.0)
+        rec = run("00000000001", p, budget=6000, seed=1)
         assert rec.restarts >= 1
 
     def test_bipop_restarts(self):
-        p = make_problem("rastrigin_separable", 2)
-        rec = run("00000000002", p, budget=6000, seed=1, target=0.0)
+        p = _with_target(make_problem("rastrigin_separable", 2), 0.0)
+        rec = run("00000000002", p, budget=6000, seed=1)
         assert rec.restarts >= 2
 
     # (config, function, budget, seed) -> (lambda of every local run,
@@ -813,13 +818,13 @@ class TestRun:
             dimension = 2
             lower = np.full(2, -5.0)
             upper = np.full(2, 5.0)
-            target_precision = 1e-8
+            target_precision = 0.0
             function_id = "nasty"
 
             def error(self, X):
                 return np.where(X[:, 0] > 0, np.nan, (X * X).sum(axis=1))
 
-        rec = run(DEFAULT, NastyProblem(), budget=100, seed=0, target=0.0)
+        rec = run(DEFAULT, NastyProblem(), budget=100, seed=0)
         assert rec.evaluations_used == 100
         assert math.isfinite(rec.best_error)
 
@@ -860,9 +865,9 @@ _STRUCTURES = st.tuples(
     seed=st.integers(0, 2**16),
 )
 def test_block_accounting(structure, function, dim, budget, target, seed):
-    log = _BlockLog(make_problem(function, dim))
-    rec = run(structure, log, budget, seed, target=target,
-              record_trajectory=True, record_generations=True)
+    log = _BlockLog(_with_target(make_problem(function, dim), target))
+    rec = run(structure, log, budget, seed, record_trajectory=True,
+              record_generations=True)
     assert rec.evaluations_used <= budget
     assert sum(map(len, log.blocks)) == rec.evaluations_used
     assert rec.success == (rec.best_error <= target)
@@ -875,8 +880,8 @@ def test_block_accounting(structure, function, dim, budget, target, seed):
     assert len(rec.trajectory) == rec.evaluations_used
     assert (np.diff(rec.trajectory) <= 0).all()
     assert rec.trajectory[-1] == rec.best_error
-    again = run(structure, make_problem(function, dim), budget, seed,
-                target=target, record_trajectory=True, record_generations=True)
+    again = run(structure, _with_target(make_problem(function, dim), target),
+                budget, seed, record_trajectory=True, record_generations=True)
     assert (again.evaluations_used, again.best_error, again.hit_index,
             again.restarts, again.generation_best_f) == (
         rec.evaluations_used, rec.best_error, rec.hit_index, rec.restarts,

@@ -16,7 +16,6 @@ from modcmaes.evaluation import (
     MalformedInputError,
     ResultsCache,
     compare,
-    compare_fitness,
     compute_ert,
     execute_runs,
     fitness_key,
@@ -179,8 +178,8 @@ class TestCompare:
             assert 0.0 <= res.uncertainty <= 1.0
 
 
-def _reference_compare_fitness(ert_a, fce_a, ert_b, fce_b):
-    """The ERT-first branches of compare_fitness, spelled out."""
+def _reference_compare(ert_a, fce_a, ert_b, fce_b):
+    """The ERT-first branches of compare's (winner, basis), spelled out."""
     if ert_a is not None and ert_b is not None:
         if ert_a < ert_b:
             return "A", "ert"
@@ -206,21 +205,21 @@ _FCE = st.one_of(st.sampled_from([0.0, math.inf, math.nan]),
 @settings(max_examples=500, deadline=None)
 @given(ert_a=_ERT, fce_a=_FCE, ert_b=_ERT, fce_b=_FCE,
        same_ert=st.booleans(), same_fce=st.booleans())
-def test_compare_fitness_truth_table(ert_a, fce_a, ert_b, fce_b, same_ert,
-                                     same_fce):
-    """compare_fitness and fitness_key keep the reference's order; NaN
-    compares false both ways, so it ties."""
+def test_compare_truth_table(ert_a, fce_a, ert_b, fce_b, same_ert, same_fce):
+    """compare and fitness_key keep the reference's order; NaN compares
+    false both ways, so it ties."""
     if same_ert:
         ert_b = ert_a
     if same_fce:
         fce_b = fce_a
-    expected = _reference_compare_fitness(ert_a, fce_a, ert_b, fce_b)
+    expected = _reference_compare(ert_a, fce_a, ert_b, fce_b)
     if ert_a is not None and ert_a == ert_b:
         assert expected == ("tie", "ert")  # whatever the FCEs
-    assert compare_fitness(ert_a, fce_a, ert_b, fce_b) == expected
+    summary = _summary(ert_a, fce_a)
+    res = compare(summary, _summary(ert_b, fce_b))
+    assert (res.winner, res.basis) == expected
     a, b = fitness_key(ert_a, fce_a), fitness_key(ert_b, fce_b)
     assert ("A" if a < b else "B" if b < a else "tie") == expected[0]
-    summary = _summary(ert_a, fce_a)
     assert summary.key == a
     assert summary.key is summary.key  # built once
 
@@ -311,14 +310,14 @@ class TestExecuteRuns:
         seeds = [5, 3, 4]
         serial = execute_runs("00000000000", p, 300, seeds)
         with run_map(2) as map_fn:
-            pooled = execute_runs("00000000000", p, 300, seeds, None, map_fn)
+            pooled = execute_runs("00000000000", p, 300, seeds, map_fn)
         assert [r.seed for r in pooled] == seeds
         assert pooled == serial
 
     def test_budget_defaults_to_1000_d(self, monkeypatch):
         budgets = []
 
-        def fake_run(cfg_str, problem, budget, seed, target=None):
+        def fake_run(cfg_str, problem, budget, seed):
             budgets.append(budget)
 
         monkeypatch.setattr(evaluation, "run", fake_run)

@@ -12,7 +12,6 @@ from modcmaes.configuration import ConfigurationVector, encode, enumerate_all
 from modcmaes.evaluation import (
     FitnessSummary,
     compare,
-    compare_fitness,
     summarize,
 )
 from modcmaes.metaga import (
@@ -394,9 +393,8 @@ def test_incumbent_matches_full_rescan(outcomes, budget, seed, free):
             if child.fitness.n == 0:
                 failures += 1
                 first_error = first_error or child.error
-            if incumbent is None or compare_fitness(
-                    child.fitness.ert, child.fitness.fce,
-                    incumbent.fitness.ert, incumbent.fitness.fce)[0] == "A":
+            if (incumbent is None
+                    or compare(child.fitness, incumbent.fitness).winner == "A"):
                 incumbent = child
         entries.append(metaga.TraceEntry(
             gen, encode(incumbent.r), incumbent.fitness.ert,
