@@ -66,11 +66,15 @@ RANK_BUCKETS = (
 
 
 @contextlib.contextmanager
-def _open_evaluator(args) -> Iterator[CachedEvaluator]:
-    """The command's evaluator, with one run pool of ``--jobs`` workers
-    (capped at ``--runs``) held open for the whole block."""
+def _open_evaluator(args, jobs: int | None = None) -> Iterator[CachedEvaluator]:
+    """The command's evaluator, with one run pool of ``jobs`` workers
+    held open for the whole block. By default ``jobs`` is ``--jobs``
+    capped at ``--runs``: one structure's runs at a time are all the
+    work there is."""
     problem = benchmarks.make_problem(args.function, args.dim)
-    with run_map(min(args.jobs, args.runs)) as map_fn:
+    if jobs is None:
+        jobs = min(args.jobs, args.runs)
+    with run_map(jobs) as map_fn:
         yield CachedEvaluator(
             problem, ResultsCache(args.cache), n_runs=args.runs,
             budget=args.budget, base_seed=args.seed, map_fn=map_fn,
@@ -97,17 +101,17 @@ def cmd_run(args) -> int:
 
 
 def cmd_bruteforce(args) -> int:
-    executed = swept = 0
-    with _open_evaluator(args) as evaluator:
-        for cfg in enumerate_all(args.free):
-            cfg_str = encode(cfg)
-            swept += 1
-            if evaluator.missing_seeds(cfg_str):
-                evaluator(cfg_str)
-                executed += 1
-    print(f"configs\t{swept}")
-    print(f"executed\t{executed}")
-    print(f"skipped\t{swept - executed}")
+    # The runs of many structures share the stream, so the pool may be
+    # wider than --runs.
+    with _open_evaluator(args, args.jobs) as evaluator:
+        swept = [encode(cfg) for cfg in enumerate_all(args.free)]
+        todo = [cfg_str for cfg_str in swept if evaluator.missing_seeds(cfg_str)]
+        evaluator.plan(todo)
+        for cfg_str in todo:
+            evaluator(cfg_str)
+    print(f"configs\t{len(swept)}")
+    print(f"executed\t{len(todo)}")
+    print(f"skipped\t{len(swept) - len(todo)}")
     return 0
 
 

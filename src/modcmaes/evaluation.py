@@ -132,32 +132,88 @@ def summarize(runs: list[RunRecord]) -> FitnessSummary:
     )
 
 
+def _run_seeds(problem, budget, task) -> list[RunRecord]:
+    """The records of ``task``, a structure and some of its seeds: one
+    :func:`~modcmaes.core.run` per seed, in seed order."""
+    cfg, seeds = task
+    return [run(cfg, problem, budget, seed) for seed in seeds]
+
+
+class _ReadAhead:
+    """``map(fn, tasks)`` over a pool of ``jobs`` workers, for an ``fn``
+    that maps a (structure, seeds) task to one result per seed.
+
+    Each task goes to the pool as contiguous chunks of about
+    ``len(seeds) / (2 * jobs)`` seeds, one pool task per chunk. Tasks are
+    read lazily, and at most ``4 * jobs`` chunks are in flight, so the
+    workers keep busy between calls while memory stays bounded. Results
+    come back in task order, a task's chunks concatenated. As with the
+    builtin ``map``, a task whose ``fn`` raised raises from its ``next``
+    and the iteration goes on with the next task.
+    """
+
+    def __init__(self, pool, jobs: int, fn, tasks):
+        self._submit = partial(pool.submit, fn)
+        self._width = 2 * jobs
+        self._depth = 4 * jobs
+        self._chunks = self._split(tasks)
+        self._sizes: list[int] = []  # the chunk count of each task read
+        self._pending: list = []  # the futures of the chunks, in order
+
+    def _split(self, tasks):
+        for cfg, seeds in tasks:
+            step = -(-len(seeds) // self._width)
+            starts = range(0, len(seeds), step)
+            self._sizes.append(len(starts))
+            for i in starts:
+                yield cfg, seeds[i:i + step]
+
+    def __iter__(self):
+        return self
+
+    def __next__(self) -> list:
+        while len(self._pending) < self._depth:
+            chunk = next(self._chunks, None)
+            if chunk is None:
+                break
+            self._pending.append(self._submit(chunk))
+        if not self._pending:
+            raise StopIteration
+        n = self._sizes.pop(0)
+        head, self._pending = self._pending[:n], self._pending[n:]
+        return [r for future in head for r in future.result()]
+
+
 @contextlib.contextmanager
 def run_map(jobs: int) -> Iterator:
-    """Yield the ``map`` that runs go through: the builtin for ``jobs <= 1``,
-    else the ``map`` of one pool of ``jobs`` workers, open for the block."""
+    """Yield the lazy, ordered ``map`` that runs go through: the builtin
+    for ``jobs <= 1``, else a bounded read-ahead over one pool of
+    ``jobs`` workers, open for the block, that sends each structure's
+    seeds as a few chunks. Leaving the block drops the chunks that no
+    worker has started."""
     if jobs <= 1:
         yield map
         return
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        yield pool.map
+    pool = ProcessPoolExecutor(max_workers=jobs)
+    try:
+        yield partial(_ReadAhead, pool, jobs)
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
-def execute_runs(
-    cfg: ConfigurationVector | str,
-    problem,
-    budget: int | None,
-    seeds,
-    map_fn=map,
-) -> list[RunRecord]:
-    """One seeded run per seed through ``map_fn``, in seed order.
+def execute_runs(problem, budget: int | None, plan, map_fn=map) -> Iterator:
+    """Stream the runs of ``plan``, an iterable of (structure, seeds)
+    pairs with at least one seed each, through ``map_fn``.
 
+    Yields, per pair and in plan order, its records in seed order. A
+    pair whose run raised raises from its ``next``; the stream goes on
+    with the next pair. The plan is read only as ``map_fn`` needs it.
     ``budget=None`` means :func:`benchmarks.default_budget`. A run
     depends only on its arguments, so the map never changes a record.
     """
     if budget is None:
         budget = default_budget(problem.dimension)
-    return list(map_fn(partial(run, cfg, problem, budget), seeds))
+    return map_fn(partial(_run_seeds, problem, budget), plan)
 
 
 def run_batch(
@@ -177,7 +233,7 @@ def run_batch(
         raise ValueError("n must be >= 1")
     seeds = range(seed, seed + n)
     with run_map(min(jobs, n)) as map_fn:
-        records = execute_runs(cfg, problem, budget, seeds, map_fn)
+        records = next(execute_runs(problem, budget, [(cfg, seeds)], map_fn))
     return summarize(records)
 
 
@@ -432,9 +488,14 @@ class CachedEvaluator:
     """Fitness evaluator backed by the append-only results cache, and
     the cache's only reader: it indexes the runs of its own (function,
     dimension) once. :meth:`cached` returns a structure's summary when
-    all n seeded runs are there and never executes a run; a call first
-    executes the missing runs through ``map_fn`` (the builtin ``map``,
-    or a pool's from :func:`run_map`) and appends them in seed order.
+    all n seeded runs are there and never executes a run. A call takes
+    the missing runs of its structure from a stream through ``map_fn``
+    (the builtin ``map``, or a pool's from :func:`run_map`), waits for
+    them and appends them in seed order. :meth:`plan` queues the
+    structures the caller asks for next, so that a pool runs ahead of
+    the calls; a call for a structure that is not next in the plan
+    drops the plan and streams that structure alone. A call whose run
+    raised appends nothing, and the next call goes on with the stream.
     Each structure is summarized once, into one immutable summary. A
     record written at another target raises :class:`MalformedInputError`.
     """
@@ -460,6 +521,11 @@ class CachedEvaluator:
         # and its string share one summary.
         self._summaries: dict[ConfigurationVector | str, FitnessSummary] = {}
         self._mem: dict[str, dict[int, RunRecord]] = {}
+        # The planned structures, the number of them taken by calls, and
+        # the stream of their records.
+        self._plan: list[str] = []
+        self._taken = 0
+        self._stream = iter(())
         target = problem.target_precision
         for r in cache.records():
             if (r.function_id == problem.function_id
@@ -486,6 +552,21 @@ class CachedEvaluator:
             self._summaries[cfg_str] = summary
         return summary
 
+    def plan(self, cfg_strs) -> None:
+        """Queue the structures the caller will ask for next, in this
+        order, in place of any earlier plan. Those with missing runs
+        stream through ``map_fn``, read as it needs them; the builtin
+        ``map`` runs nothing before the call that asks for it. Each
+        structure is queued once, so its seeds are still missing when
+        the stream reads it."""
+        self._plan = list(dict.fromkeys(
+            c for c in cfg_strs if self.missing_seeds(c)))
+        self._taken = 0
+        self._stream = execute_runs(
+            self.problem, self.budget,
+            ((c, self.missing_seeds(c)) for c in self._plan), self.map_fn,
+        )
+
     def __call__(self, cfg: ConfigurationVector | str) -> FitnessSummary:
         summary = self._summaries.get(cfg)
         if summary is not None:
@@ -493,10 +574,10 @@ class CachedEvaluator:
         cfg_str = cfg if isinstance(cfg, str) else encode(cfg)
         summary = self.cached(cfg_str)
         if summary is None:
-            new = execute_runs(
-                cfg_str, self.problem, self.budget,
-                self.missing_seeds(cfg_str), self.map_fn,
-            )
+            if self._plan[self._taken:self._taken + 1] != [cfg_str]:
+                self.plan([cfg_str])
+            self._taken += 1
+            new = next(self._stream)
             self.runs_executed += len(new)
             self.cache.append(new)
             self._mem.setdefault(cfg_str, {}).update((r.seed, r) for r in new)

@@ -298,6 +298,58 @@ class TestCmdBruteforce:
         assert "executed\t4" in out
         assert built == [2]
 
+    def test_pool_wider_than_runs(self, tmp_path, capsys, monkeypatch):
+        """The runs of several structures share the stream, so a sweep
+        with --runs 1 still gets all --jobs workers."""
+        argv = ["bruteforce", *BASE, "--runs", "1", "--seed", "0",
+                "--free", "1,2,3"]
+        _run_cli(argv + ["--cache", str(tmp_path / "serial.tsv")], capsys)
+        built = []
+        init = ProcessPoolExecutor.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(kwargs.get("max_workers"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(ProcessPoolExecutor, "__init__", counting_init)
+        code, out, _ = _run_cli(
+            argv + ["--cache", str(tmp_path / "pool.tsv"), "--jobs", "2"],
+            capsys,
+        )
+        assert code == 0
+        assert built == [2]
+        assert ((tmp_path / "pool.tsv").read_bytes()
+                == (tmp_path / "serial.tsv").read_bytes())
+
+    def test_jobs_invariance_with_ragged_chunks(self, tmp_path, capsys):
+        """A resumed sweep whose structures miss different seeds gives the
+        same bytes and counts with one, two or three workers."""
+        problem = make_problem("sphere", 2)
+        start = str(tmp_path / "start.tsv")
+        for n_runs, base_seed, cfgs in (
+                (2, 0, ["00000000000", "10000000000", "01000000000"]),
+                (1, 3, ["01000000000", "11000000000", "00100000000"]),
+                (5, 0, ["10100000000"])):
+            ev = CachedEvaluator(problem, ResultsCache(start), n_runs=n_runs,
+                                 budget=400, base_seed=base_seed)
+            for cfg in cfgs:
+                ev(cfg)
+        seen = set()
+        for jobs in ("1", "2", "3"):
+            cache = tmp_path / f"jobs{jobs}.tsv"
+            cache.write_bytes((tmp_path / "start.tsv").read_bytes())
+            code, out, _ = _run_cli(
+                ["bruteforce", *BASE, "--runs", "5", "--seed", "0",
+                 "--free", "1,2,3", "--jobs", jobs, "--cache", str(cache)],
+                capsys,
+            )
+            assert code == 0
+            assert out == "configs\t8\nexecuted\t7\nskipped\t1\n"
+            seen.add((out, cache.read_bytes()))
+        assert len(seen) == 1
+        records = ResultsCache(str(tmp_path / "jobs3.tsv")).records()
+        assert len({(r.config, r.seed) for r in records}) == len(records) == 40
+
 
 class TestCmdGa:
     def test_traces_written_per_run(self, tmp_path, capsys):
@@ -348,6 +400,34 @@ class TestCmdGa:
                                  "first: RuntimeError: engine down")
         records = ResultsCache(str(tmp_path / "b.tsv")).records()
         assert all(r.config != "11100000000" for r in records)
+
+    def test_failures_counted_through_the_pool(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        """Pool workers inherit a run that raises for one structure; the
+        GA counts each of its evaluations as failed, as it does serially."""
+        run = evaluation.run
+
+        def flaky_run(cfg_str, *args, **kwargs):
+            if cfg_str == "11100000000":
+                raise RuntimeError("engine down")
+            return run(cfg_str, *args, **kwargs)
+
+        monkeypatch.setattr(evaluation, "run", flaky_run)
+        outputs = []
+        for jobs in ("1", "2"):
+            code, out, err = _run_cli(
+                ["ga", *BASE, "--runs", "2", "--seed", "0", "--ga-runs", "2",
+                 "--ga-budget", "24", "--ga-lambda", "12", "--free", "1,2,3",
+                 "--jobs", jobs, "--cache", str(tmp_path / f"{jobs}.tsv"),
+                 "--out", str(tmp_path / jobs)],
+                capsys,
+            )
+            assert code == 0
+            outputs.append((out, err, (tmp_path / f"{jobs}.tsv").read_bytes()))
+        assert outputs[0] == outputs[1]
+        assert "structure evaluations failed; first: RuntimeError: engine down" \
+            in outputs[1][1]
 
     def test_traces_only_reference_cached_configs(self, tmp_path, capsys):
         cache = str(tmp_path / "cache.tsv")

@@ -1,5 +1,6 @@
 import math
 import os
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -9,9 +10,11 @@ from scipy.integrate import quad
 
 from modcmaes import evaluation
 from modcmaes.benchmarks import make_problem
+from modcmaes.configuration import encode, enumerate_all
 from modcmaes.core import ENGINE_VERSION, RunRecord
 from modcmaes.evaluation import (
     CACHE_HEADER,
+    CachedEvaluator,
     FitnessSummary,
     MalformedInputError,
     ResultsCache,
@@ -308,9 +311,10 @@ class TestExecuteRuns:
     def test_records_in_seed_order_through_pool(self):
         p = make_problem("sphere", 2)
         seeds = [5, 3, 4]
-        serial = execute_runs("00000000000", p, 300, seeds)
+        plan = [("00000000000", seeds)]
+        serial, = execute_runs(p, 300, plan)
         with run_map(2) as map_fn:
-            pooled = execute_runs("00000000000", p, 300, seeds, map_fn)
+            pooled, = execute_runs(p, 300, plan, map_fn)
         assert [r.seed for r in pooled] == seeds
         assert pooled == serial
 
@@ -321,8 +325,121 @@ class TestExecuteRuns:
             budgets.append(budget)
 
         monkeypatch.setattr(evaluation, "run", fake_run)
-        execute_runs("00000000000", make_problem("sphere", 5), None, [0, 1])
+        list(execute_runs(make_problem("sphere", 5), None,
+                          [("00000000000", [0, 1])]))
         assert budgets == [5000, 5000]
+
+
+class _StubPool:
+    """A pool stand-in: it runs a chunk when the chunk is submitted and
+    counts the chunks submitted but not yet read back."""
+
+    def __init__(self, max_workers):
+        self.in_flight = self.most = 0
+        self.chunks: list[int] = []  # the seed count of each chunk
+        _StubPool.last = self
+
+    def shutdown(self, cancel_futures=False):
+        pass
+
+    def submit(self, fn, task):
+        self.in_flight += 1
+        self.most = max(self.most, self.in_flight)
+        self.chunks.append(len(task[1]))
+        records = fn(task)
+
+        def result():
+            self.in_flight -= 1
+            return records
+
+        return SimpleNamespace(result=result)
+
+
+class TestStream:
+    CFGS = [encode(c) for c in enumerate_all({0, 1, 2, 3, 4})]
+
+    def test_read_ahead_is_bounded_and_lazy(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(evaluation, "ProcessPoolExecutor", _StubPool)
+        problem = make_problem("sphere", 2)
+        with run_map(2) as map_fn:
+            pool = _StubPool.last
+            ev = CachedEvaluator(problem, ResultsCache(str(tmp_path / "a")),
+                                 n_runs=5, budget=100, map_fn=map_fn)
+            ev.plan(self.CFGS)
+            assert pool.chunks == []
+            for cfg in self.CFGS:
+                ev(cfg)
+                assert pool.in_flight <= 8
+        # Four chunks in flight per worker, and never more; 5 seeds in
+        # chunks of ceil(5 / 4) = 2.
+        assert pool.most == 8
+        assert pool.in_flight == 0
+        assert pool.chunks == [2, 2, 1] * len(self.CFGS)
+        serial = CachedEvaluator(problem, ResultsCache(str(tmp_path / "b")),
+                                 n_runs=5, budget=100)
+        for cfg in self.CFGS:
+            serial(cfg)
+        assert (tmp_path / "a").read_bytes() == (tmp_path / "b").read_bytes()
+
+    def test_serial_plan_runs_nothing_ahead(self, tmp_path, monkeypatch):
+        calls = []
+        run = evaluation.run
+
+        def counted_run(cfg_str, *args):
+            calls.append(cfg_str)
+            return run(cfg_str, *args)
+
+        monkeypatch.setattr(evaluation, "run", counted_run)
+        ev = CachedEvaluator(make_problem("sphere", 2),
+                             ResultsCache(str(tmp_path / "c.tsv")),
+                             n_runs=3, budget=100)
+        ev.plan(self.CFGS)
+        assert calls == []
+        ev(self.CFGS[0])
+        assert calls == [self.CFGS[0]] * 3
+        ev(self.CFGS[1])
+        assert calls == [self.CFGS[0]] * 3 + [self.CFGS[1]] * 3
+
+    def test_a_call_out_of_plan_order_streams_its_structure(self, tmp_path):
+        problem = make_problem("sphere", 2)
+        ev = CachedEvaluator(problem, ResultsCache(str(tmp_path / "a")),
+                             n_runs=2, budget=100)
+        ev.plan(self.CFGS[:3])
+        assert ev(self.CFGS[2]).config == self.CFGS[2]
+        assert ev(self.CFGS[0]).config == self.CFGS[0]
+        fresh = CachedEvaluator(problem, ResultsCache(str(tmp_path / "b")),
+                                n_runs=2, budget=100)
+        assert ev(self.CFGS[0]) == fresh(self.CFGS[0])
+
+    def test_a_failed_run_fails_only_its_structure(self, tmp_path, monkeypatch):
+        """Pool workers inherit a run that raises for one seed of one
+        structure."""
+        run = evaluation.run
+        bad = self.CFGS[1]
+
+        def flaky_run(cfg_str, problem, budget, seed):
+            if cfg_str == bad and seed == 2:
+                raise RuntimeError("engine down")
+            return run(cfg_str, problem, budget, seed)
+
+        monkeypatch.setattr(evaluation, "run", flaky_run)
+        problem = make_problem("sphere", 2)
+        cfgs = self.CFGS[:3]
+        path = str(tmp_path / "pool.tsv")
+        with run_map(2) as map_fn:
+            ev = CachedEvaluator(problem, ResultsCache(path), n_runs=4,
+                                 budget=200, map_fn=map_fn)
+            ev.plan(cfgs)
+            first = ev(cfgs[0])
+            with pytest.raises(RuntimeError, match="engine down"):
+                ev(bad)
+            third = ev(cfgs[2])
+        serial = CachedEvaluator(problem, ResultsCache(str(tmp_path / "s")),
+                                 n_runs=4, budget=200)
+        assert first == serial(cfgs[0])
+        assert third == serial(cfgs[2])
+        assert {r.config for r in ResultsCache(path).records()} == {
+            cfgs[0], cfgs[2]}
 
 
 class TestSubsampleUncertainty:
