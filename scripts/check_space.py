@@ -12,7 +12,10 @@ ran it:
 - ``hit_index`` is set exactly when ``best_error <= target_precision``;
 - no ``RuntimeWarning`` is raised (warnings become errors).
 
-A breach raises inside the run, which fails the sweep. Then a sampled
+A breach raises inside the run, which fails the sweep. The checked
+runs are counted across processes, and the sweep fails unless every
+run was checked: the workers see the checks only by inheriting them
+through a forked pool. Then a sampled
 subset of the structures runs again under ``--jobs 1`` and must write
 the same cache lines. The script prints each problem's wall time and a
 digest of its cache (reported, not compared) and exits non-zero on the
@@ -28,6 +31,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import multiprocessing
 import os
 import random
 import sys
@@ -47,6 +51,7 @@ SAMPLE = 48
 SPACE = 4608
 
 _points = [0]  # objective points evaluated by the current run
+_checked = multiprocessing.Value("q", 0)  # runs checked, in any process
 
 
 def _count_points(error):
@@ -69,6 +74,8 @@ def _check_run(run):
         if (r.hit_index is None) == (r.best_error <= problem.target_precision):
             raise AssertionError(f"{where}: hit_index {r.hit_index} with "
                                  f"best_error {r.best_error!r}")
+        with _checked.get_lock():
+            _checked.value += 1
         return r
     return checked
 
@@ -95,9 +102,14 @@ def check_problem(fid: str, dim: int, budget: int, workdir: str) -> str:
     common = ["--function", fid, "--dim", str(dim), "--runs", str(SEEDS),
               "--budget", str(budget), "--seed", "0"]
     pooled = os.path.join(workdir, f"{fid}-{dim}-jobs2.tsv")
+    _checked.value = 0
     t0 = time.perf_counter()
     out = _cli(["bruteforce", *common, "--jobs", "2", "--cache", pooled])
     wall = time.perf_counter() - t0
+    checked = _checked.value
+    if checked != SPACE * SEEDS:
+        raise SystemExit(f"{fid}-{dim}: {checked} of {SPACE * SEEDS} runs "
+                         "were checked; the pool workers must be forked")
     if out != f"configs\t{SPACE}\nexecuted\t{SPACE}\nskipped\t0\n":
         raise SystemExit(f"{fid}-{dim}: bruteforce printed {out!r}")
     lines = _lines_by_config(pooled)
@@ -116,7 +128,7 @@ def check_problem(fid: str, dim: int, budget: int, workdir: str) -> str:
                          f"{len(differ)} of {SAMPLE} structures, first {differ[0]}")
     with open(pooled, "rb") as fh:
         digest = hashlib.sha256(fh.read()).hexdigest()[:16]
-    return (f"{fid}-{dim} budget {budget}: {SPACE * SEEDS} runs checked in "
+    return (f"{fid}-{dim} budget {budget}: {checked} runs checked in "
             f"{wall:.1f} s, {SAMPLE} structures identical under --jobs 1, "
             f"cache digest {digest}")
 

@@ -66,15 +66,11 @@ RANK_BUCKETS = (
 
 
 @contextlib.contextmanager
-def _open_evaluator(args, jobs: int | None = None) -> Iterator[CachedEvaluator]:
-    """The command's evaluator, with one run pool of ``jobs`` workers
-    held open for the whole block. By default ``jobs`` is ``--jobs``
-    capped at ``--runs``: one structure's runs at a time are all the
-    work there is."""
+def _open_evaluator(args) -> Iterator[CachedEvaluator]:
+    """The command's evaluator, with one run pool of ``--jobs`` workers
+    held open for the whole block."""
     problem = benchmarks.make_problem(args.function, args.dim)
-    if jobs is None:
-        jobs = min(args.jobs, args.runs)
-    with run_map(jobs) as map_fn:
+    with run_map(args.jobs) as map_fn:
         yield CachedEvaluator(
             problem, ResultsCache(args.cache), n_runs=args.runs,
             budget=args.budget, base_seed=args.seed, map_fn=map_fn,
@@ -101,9 +97,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_bruteforce(args) -> int:
-    # The runs of many structures share the stream, so the pool may be
-    # wider than --runs.
-    with _open_evaluator(args, args.jobs) as evaluator:
+    with _open_evaluator(args) as evaluator:
         swept = [encode(cfg) for cfg in enumerate_all(args.free)]
         todo = [cfg_str for cfg_str in swept if evaluator.missing_seeds(cfg_str)]
         evaluator.plan(todo)

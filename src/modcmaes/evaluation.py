@@ -144,25 +144,30 @@ class _ReadAhead:
     that maps a (structure, seeds) task to one result per seed.
 
     Each task goes to the pool as contiguous chunks of about
-    ``len(seeds) / (2 * jobs)`` seeds, one pool task per chunk. Tasks are
-    read lazily, and at most ``4 * jobs`` chunks are in flight, so the
-    workers keep busy between calls while memory stays bounded. Results
-    come back in task order, a task's chunks concatenated. As with the
-    builtin ``map``, a task whose ``fn`` raised raises from its ``next``
-    and the iteration goes on with the next task.
+    ``len(seeds) / (2 * jobs)`` seeds, one pool task per chunk; the last
+    task, with none behind it to keep the workers busy, goes one seed
+    per chunk, so no worker waits on a long chunk at its tail. Tasks are
+    read lazily, one ahead, and at most ``4 * jobs`` chunks, or the
+    first task's chunks if more, are in flight, so the workers keep busy
+    between calls while memory stays bounded. Results come back in task
+    order, a task's chunks concatenated. As with the builtin ``map``, a
+    task whose ``fn`` raised raises from its ``next`` and the iteration
+    goes on with the next task.
     """
 
     def __init__(self, pool, jobs: int, fn, tasks):
         self._submit = partial(pool.submit, fn)
         self._width = 2 * jobs
         self._depth = 4 * jobs
-        self._chunks = self._split(tasks)
+        self._chunks = self._split(iter(tasks))
         self._sizes: list[int] = []  # the chunk count of each task read
         self._pending: list = []  # the futures of the chunks, in order
 
     def _split(self, tasks):
-        for cfg, seeds in tasks:
-            step = -(-len(seeds) // self._width)
+        task = next(tasks, None)
+        while task is not None:
+            (cfg, seeds), task = task, next(tasks, None)
+            step = 1 if task is None else -(-len(seeds) // self._width)
             starts = range(0, len(seeds), step)
             self._sizes.append(len(starts))
             for i in starts:
@@ -172,7 +177,8 @@ class _ReadAhead:
         return self
 
     def __next__(self) -> list:
-        while len(self._pending) < self._depth:
+        while len(self._pending) < max(
+                self._depth, self._sizes[0] if self._sizes else 0):
             chunk = next(self._chunks, None)
             if chunk is None:
                 break
@@ -189,8 +195,8 @@ def run_map(jobs: int) -> Iterator:
     """Yield the lazy, ordered ``map`` that runs go through: the builtin
     for ``jobs <= 1``, else a bounded read-ahead over one pool of
     ``jobs`` workers, open for the block, that sends each structure's
-    seeds as a few chunks. Leaving the block drops the chunks that no
-    worker has started."""
+    seeds as a few chunks, and the last structure's one seed per chunk.
+    Leaving the block drops the chunks that no worker has started."""
     if jobs <= 1:
         yield map
         return

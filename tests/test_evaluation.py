@@ -371,15 +371,25 @@ class TestStream:
                 ev(cfg)
                 assert pool.in_flight <= 8
         # Four chunks in flight per worker, and never more; 5 seeds in
-        # chunks of ceil(5 / 4) = 2.
+        # chunks of ceil(5 / 4) = 2, and the last structure one per seed.
         assert pool.most == 8
         assert pool.in_flight == 0
-        assert pool.chunks == [2, 2, 1] * len(self.CFGS)
+        assert pool.chunks == [2, 2, 1] * (len(self.CFGS) - 1) + [1] * 5
         serial = CachedEvaluator(problem, ResultsCache(str(tmp_path / "b")),
                                  n_runs=5, budget=100)
         for cfg in self.CFGS:
             serial(cfg)
         assert (tmp_path / "a").read_bytes() == (tmp_path / "b").read_bytes()
+
+    def test_a_lone_structure_goes_one_seed_per_chunk(self, monkeypatch):
+        """With no structure behind it, each run is its own chunk, all
+        in flight at once even past four chunks per worker."""
+        monkeypatch.setattr(evaluation, "ProcessPoolExecutor", _StubPool)
+        problem = make_problem("sphere", 2)
+        pooled = run_batch(self.CFGS[3], problem, n=12, budget=100, jobs=2)
+        assert _StubPool.last.chunks == [1] * 12
+        assert _StubPool.last.most == 12
+        assert pooled == run_batch(self.CFGS[3], problem, n=12, budget=100)
 
     def test_serial_plan_runs_nothing_ahead(self, tmp_path, monkeypatch):
         calls = []
