@@ -99,8 +99,7 @@ def cmd_run(args) -> int:
 def cmd_bruteforce(args) -> int:
     with _open_evaluator(args) as evaluator:
         swept = [encode(cfg) for cfg in enumerate_all(args.free)]
-        todo = [cfg_str for cfg_str in swept if evaluator.missing_seeds(cfg_str)]
-        evaluator.plan(todo)
+        todo = evaluator.plan(swept)
         for cfg_str in todo:
             evaluator(cfg_str)
     print(f"configs\t{len(swept)}")
@@ -111,6 +110,9 @@ def cmd_bruteforce(args) -> int:
 
 def cmd_ga(args) -> int:
     os.makedirs(args.out, exist_ok=True)
+    for name in os.listdir(args.out):  # an earlier command's traces
+        if name.startswith("trace_"):
+            os.remove(os.path.join(args.out, name))
     print("run\tga_seed\tfunction_id\tdimension\tbest_config\tert\tfce")
     with _open_evaluator(args) as evaluator:
         problem = evaluator.problem
@@ -386,7 +388,6 @@ def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--budget", type=positive_int, default=None,
                    help="evaluations per run (default 1000*dim)")
     p.add_argument("--seed", type=non_negative_int, default=0)
-    p.add_argument("--jobs", type=positive_int, default=1)
     p.add_argument("--cache", required=True)
 
 
@@ -400,10 +401,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("run", help="run one configuration n times")
     p.add_argument("--config", type=structure, required=True)
     _add_common(p)
+    p.add_argument("--jobs", type=positive_int, default=1)
     p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("bruteforce", help="sweep a configuration space")
     _add_common(p)
+    p.add_argument("--jobs", type=positive_int, default=1)
     p.add_argument("--free", type=free_genes, default=None,
                    help="comma list of free 1-based gene positions; "
                         "every other gene is 0")
@@ -411,6 +414,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ga", help="run the structure-search GA")
     _add_common(p)
+    p.add_argument("--jobs", type=positive_int, default=1)
     p.add_argument("--ga-runs", type=positive_int, default=30)
     p.add_argument("--ga-budget", type=positive_int, default=240)
     p.add_argument("--ga-lambda", type=positive_int, default=12)
@@ -422,7 +426,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--traces", required=True)
     p.add_argument("--free", type=free_genes, default=None)
-    p.set_defaults(func=report_rank)
+    p.set_defaults(func=report_rank, jobs=1)  # it never runs an ES run
 
     p = sub.add_parser("report-activation", help="module activation table")
     p.add_argument("--winners", required=True)
@@ -450,6 +454,11 @@ def main(argv: Sequence[str] | None = None) -> int:
         return args.func(args)
     except MalformedInputError as exc:
         print(exc, file=sys.stderr)
+        return 2
+    except OSError as exc:
+        if exc.filename is None:
+            raise
+        print(f"{exc.filename}: {exc.strerror}", file=sys.stderr)
         return 2
 
 

@@ -102,8 +102,8 @@ def resolve_interactions(
     it forces lambda >= 2*mu (and an even lambda). Two-point adaptation
     reserves two offspring, shrinking the pool to lambda_eff; when that
     collides with pairwise at lambda == 2*mu, mu shrinks to
-    lambda_eff/2. The sequential-selection cutoff is mu normally, 2*mu
-    under pairwise, and capped by lambda_eff when all three interact.
+    lambda_eff/2. The sequential-selection cutoff is mu, or 2*mu under
+    pairwise, which these repairs keep at or below lambda_eff.
     """
     if not 1 <= mu <= lambda_:
         raise ValueError(f"need 1 <= mu <= lambda, got mu={mu} lambda={lambda_}")
@@ -114,12 +114,7 @@ def resolve_interactions(
     lambda_eff = lambda_ - 2 if cfg.tpa else lambda_
     if cfg.pairwise and cfg.tpa and lambda_ == 2 * mu:
         mu = lambda_eff // 2
-    if cfg.pairwise:
-        seq_cutoff = 2 * mu
-        if cfg.tpa and cfg.sequential:
-            seq_cutoff = min(2 * mu, lambda_eff)
-    else:
-        seq_cutoff = mu
+    seq_cutoff = 2 * mu if cfg.pairwise else mu
     return lambda_, mu, lambda_eff, seq_cutoff
 
 
@@ -243,14 +238,14 @@ def _eigh(C: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 class StrategyParams:
     """All endogenous state of one local ES run.
 
-    Derived constants (weights, learning rates) follow the standard
-    published defaults; the switchable mechanisms only consume them.
-    The constants that depend only on D, lambda, mu and the weights are
-    computed once per local run, each by the expression the update
-    would evaluate: ``csa_coef`` = sqrt(c_sigma (2 - c_sigma) mu_eff),
-    ``pc_coef`` = sqrt(c_c (2 - c_c) mu_eff), ``c_c_var`` = c_c (2 - c_c),
-    ``c_keep`` = 1 - c_1 - c_mu, ``h_sig_bound`` = (1.4 + 2 / (D + 1))
-    chi_n and ``stagnation_window`` = ceil(10 + 30 D / lambda).
+    Derived constants follow the standard published defaults. Those that
+    depend only on D, lambda, mu and the weights are computed once per
+    local run, each by the expression the update would evaluate:
+    ``csa_coef`` = sqrt(c_sigma (2 - c_sigma) mu_eff), ``pc_coef`` =
+    sqrt(c_c (2 - c_c) mu_eff), ``c_c_var`` = c_c (2 - c_c), ``c_keep`` =
+    1 - c_1 - c_mu, ``h_sig_bound`` = (1.4 + 2 / (D + 1)) chi_n and
+    ``stagnation_window`` = ceil(10 + 30 D / lambda). ``diameter`` scales
+    threshold convergence's threshold, recomputed from the budget left.
     """
 
     def __init__(
@@ -312,7 +307,6 @@ class StrategyParams:
         self.triu_mask = np.triu(np.ones((d, d), dtype=bool))
 
         self.diameter = float(np.linalg.norm(span))
-        self.threshold = 0.2 * self.diameter
 
         self.sampler = Sampler(
             SamplerSpec(
@@ -328,10 +322,6 @@ class StrategyParams:
         # Local-run stop bookkeeping.
         self.best_f = math.inf
         self.last_improvement_gen = 0
-
-    def update_threshold(self, used: int, budget: int) -> None:
-        remaining = max(budget - used, 0) / budget
-        self.threshold = 0.2 * self.diameter * remaining**0.995
 
     def decompose(self) -> None:
         """Refresh the eigendecomposition of C, repairing if needed."""
@@ -494,10 +484,9 @@ class _Accountant:
 def _local_stop(params: StrategyParams, gen_best: float) -> str | None:
     """Check the local restart criteria after a completed generation."""
     p = params
-    if gen_best < p.best_f - TOL_IMPROVEMENT:
-        p.best_f = min(p.best_f, gen_best)
-        p.last_improvement_gen = p.t
-    elif gen_best < p.best_f:
+    if gen_best < p.best_f:
+        if gen_best < p.best_f - TOL_IMPROVEMENT:
+            p.last_improvement_gen = p.t
         p.best_f = gen_best
     if p.t - p.last_improvement_gen >= p.stagnation_window:
         return "stagnation"
@@ -519,15 +508,14 @@ def _run_local(
     cfg: ConfigurationVector,
     params: StrategyParams,
     acct: _Accountant,
-    budget: int,
     generation_best: list[float] | None,
 ) -> str:
     """Inner generation loop; returns the local stop criterion that fired."""
     while True:
         Z = params.sampler.next_batch()
         if cfg.threshold:
-            params.update_threshold(acct.used, budget)
-            Z = apply_threshold(Z, params.threshold)
+            remaining = max(acct.budget - acct.used, 0) / acct.budget
+            Z = apply_threshold(Z, 0.2 * params.diameter * remaining**0.995)
         # A stacked matrix-vector product: the same bits as B @ (d * z)
         # row by row, which (Z * d) @ B.T is not.
         Y = np.matmul(params.B, (Z * params.d_sqrt)[:, :, None])[:, :, 0]
@@ -621,7 +609,7 @@ def run(
             )
             # Counted before the local run, which may end the whole run.
             starts += 1
-            _run_local(cfg, params, acct, budget, generation_best)
+            _run_local(cfg, params, acct, generation_best)
             if cfg.restart_regime == "none":
                 break
             if small:

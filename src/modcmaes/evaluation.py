@@ -558,13 +558,13 @@ class CachedEvaluator:
             self._summaries[cfg_str] = summary
         return summary
 
-    def plan(self, cfg_strs) -> None:
+    def plan(self, cfg_strs) -> list[str]:
         """Queue the structures the caller will ask for next, in this
-        order, in place of any earlier plan. Those with missing runs
-        stream through ``map_fn``, read as it needs them; the builtin
-        ``map`` runs nothing before the call that asks for it. Each
-        structure is queued once, so its seeds are still missing when
-        the stream reads it."""
+        order, in place of any earlier plan, and return the queue: those
+        with missing runs, each once, so its seeds are still missing
+        when the stream reads it. They stream through ``map_fn``, read
+        as it needs them; the builtin ``map`` runs nothing before the
+        call that asks for it."""
         self._plan = list(dict.fromkeys(
             c for c in cfg_strs if self.missing_seeds(c)))
         self._taken = 0
@@ -572,6 +572,7 @@ class CachedEvaluator:
             self.problem, self.budget,
             ((c, self.missing_seeds(c)) for c in self._plan), self.map_fn,
         )
+        return self._plan
 
     def __call__(self, cfg: ConfigurationVector | str) -> FitnessSummary:
         summary = self._summaries.get(cfg)

@@ -1,4 +1,5 @@
 import dataclasses
+import errno
 import os
 from concurrent.futures import ProcessPoolExecutor
 
@@ -91,6 +92,45 @@ def test_target_option_is_gone(tmp_path, capsys):
     assert exc.value.code == 2
     assert "unrecognized arguments: --target 1e2" in capsys.readouterr().err
     assert not os.path.exists(cache)
+
+
+def test_report_rank_takes_no_jobs(tmp_path, capsys):
+    """report-rank never runs an ES run, so it has no pool to size."""
+    with pytest.raises(SystemExit) as exc:
+        main(["report-rank", *BASE, "--cache", str(tmp_path / "cache.tsv"),
+              "--traces", str(tmp_path), "--jobs", "2"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: ")
+    assert "unrecognized arguments: --jobs 2" in err
+
+
+class TestMissingFiles:
+    """A file that cannot be opened ends the command with exit 2 and one
+    stderr line naming it, as malformed input does."""
+
+    def test_missing_winners_file(self, tmp_path, capsys):
+        path = str(tmp_path / "missing.tsv")
+        code, out, err = _run_cli(
+            ["report-activation", "--winners", path], capsys)
+        assert (code, out) == (2, "")
+        assert err == f"{path}: {os.strerror(errno.ENOENT)}\n"
+
+    def test_cache_in_missing_directory(self, tmp_path, capsys):
+        path = str(tmp_path / "no-such-dir" / "c.tsv")
+        code, out, err = _run_cli(
+            ["run", "--config", "00000000000", *BASE, "--runs", "2",
+             "--cache", path], capsys)
+        assert (code, out) == (2, "")
+        assert err == f"{path}: {os.strerror(errno.ENOENT)}\n"
+
+    def test_an_error_naming_no_file_propagates(self, monkeypatch):
+        def broken(args):
+            raise OSError("no file involved")
+
+        monkeypatch.setattr(cli, "cmd_suite", broken)
+        with pytest.raises(OSError, match="no file involved"):
+            main(["suite"])
 
 
 # The four records that `run --config 00000000000 --function sphere --dim 2
@@ -366,6 +406,26 @@ class TestCmdGa:
         assert files == ["trace_000.tsv", "trace_001.tsv"]
         lines = out.strip().split("\n")
         assert len(lines) == 3  # header + 2 runs
+
+    def test_earlier_traces_are_removed(self, tmp_path, capsys):
+        """After a longer search, a shorter one into the same --out leaves
+        only its own traces there; other files stay."""
+        cache = str(tmp_path / "cache.tsv")
+        out_dir = tmp_path / "traces"
+        os.makedirs(out_dir)
+        (out_dir / "notes.txt").write_text("kept\n")
+        argv = ["ga", *BASE, "--runs", "2", "--seed", "0", "--cache", cache,
+                "--out", str(out_dir), "--free", "1,2,3"]
+        code, _, _ = _run_cli(argv + ["--ga-runs", "3", "--ga-budget", "24"],
+                              capsys)
+        assert code == 0 and len(os.listdir(out_dir)) == 4
+        code, _, _ = _run_cli(argv + ["--ga-runs", "1", "--ga-budget", "12"],
+                              capsys)
+        assert code == 0
+        assert sorted(os.listdir(out_dir)) == ["notes.txt", "trace_000.tsv"]
+        code, out, _ = _run_cli(
+            ["report-convergence", "--traces", str(out_dir)], capsys)
+        assert code == 0 and len(out.splitlines()) == 2
 
     def test_failures_reported_on_stderr_only(
         self, tmp_path, capsys, monkeypatch

@@ -60,10 +60,19 @@ class TestResolveInteractions:
         lam, mu, lam_eff, cutoff = resolve_interactions(DEFAULT, 6, 3)
         assert (lam, mu, lam_eff, cutoff) == (6, 3, 6, 3)
 
-    def test_all_three_cutoff_uses_lambda_eff(self):
+    def test_pairwise_cutoff_is_two_mu_within_lambda_eff(self):
+        # Pairwise leaves lambda even and >= 2*mu, and at lambda == 2*mu
+        # two-point adaptation shrinks mu, so 2*mu never exceeds lambda_eff.
         lam, mu, lam_eff, cutoff = resolve_interactions(ALL_THREE, 8, 4)
-        assert mu == 3
-        assert cutoff == min(2 * mu, lam_eff) == 6
+        assert (mu, cutoff) == (3, 6)
+        for cfg in enumerate_all():
+            if not cfg.pairwise:
+                continue
+            for lam0 in range(2, 65):
+                for mu0 in range(1, lam0 + 1):
+                    lam, mu, lam_eff, cutoff = resolve_interactions(
+                        cfg, lam0, mu0)
+                    assert cutoff == 2 * mu <= lam_eff, (encode(cfg), lam0, mu0)
 
     def test_plain_sequential_cutoff_is_mu(self):
         _, _, _, cutoff = resolve_interactions(PLAIN_SEQ, 6, 3)

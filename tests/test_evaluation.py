@@ -410,6 +410,17 @@ class TestStream:
         ev(self.CFGS[1])
         assert calls == [self.CFGS[0]] * 3 + [self.CFGS[1]] * 3
 
+    def test_plan_returns_the_structures_it_queued(self, tmp_path):
+        problem = make_problem("sphere", 2)
+        cache = ResultsCache(str(tmp_path / "c.tsv"))
+        run = evaluation.run
+        cache.append([run(self.CFGS[0], problem, 100, s) for s in (0, 1)]
+                     + [run(self.CFGS[1], problem, 100, 1)])
+        ev = CachedEvaluator(problem, cache, n_runs=2, budget=100)
+        cfgs = self.CFGS[:4]
+        assert ev.plan(cfgs + cfgs[::-1]) == cfgs[1:]
+        assert ev.plan(cfgs[:1]) == []
+
     def test_a_call_out_of_plan_order_streams_its_structure(self, tmp_path):
         problem = make_problem("sphere", 2)
         ev = CachedEvaluator(problem, ResultsCache(str(tmp_path / "a")),
