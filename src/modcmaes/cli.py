@@ -109,12 +109,12 @@ def cmd_bruteforce(args) -> int:
 
 
 def cmd_ga(args) -> int:
-    os.makedirs(args.out, exist_ok=True)
-    for name in os.listdir(args.out):  # an earlier command's traces
-        if name.startswith("trace_"):
-            os.remove(os.path.join(args.out, name))
-    print("run\tga_seed\tfunction_id\tdimension\tbest_config\tert\tfce")
-    with _open_evaluator(args) as evaluator:
+    with _open_evaluator(args) as evaluator:  # reads and checks the cache
+        os.makedirs(args.out, exist_ok=True)
+        for name in os.listdir(args.out):  # an earlier command's traces
+            if name.startswith("trace_"):
+                os.remove(os.path.join(args.out, name))
+        print("run\tga_seed\tfunction_id\tdimension\tbest_config\tert\tfce")
         problem = evaluator.problem
         for i in range(args.ga_runs):
             ga_seed = args.seed + i

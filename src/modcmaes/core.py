@@ -143,27 +143,21 @@ def apply_threshold(z: np.ndarray, threshold: float) -> np.ndarray:
 def evaluate_offspring(
     X: np.ndarray,
     objective,
-    seq_active: bool,
-    seq_cutoff: int,
+    cutoff: int,
     f_best: float = math.inf,
 ) -> np.ndarray:
-    """Evaluate the rows of ``X`` in blocks, optionally stopping early.
+    """Evaluate the rows of ``X`` in blocks, stopping at an improvement.
 
-    ``objective`` takes a block of rows and returns their values. Without
-    sequential selection the whole of ``X`` is one block. With it, the
-    first ``seq_cutoff`` rows are one block, then one row per call until
-    a row evaluated so far improves on ``f_best``. Returns the values of
-    the evaluated prefix.
+    ``objective`` takes a block of rows and returns their values. The
+    first ``cutoff`` rows are one block (all of ``X`` when ``cutoff >=
+    len(X)``), then one row per call until a row evaluated so far
+    improves on ``f_best``. Returns the values of the evaluated prefix.
     """
-    if not seq_active:
-        return objective(X)
-    blocks = [objective(X[:seq_cutoff])]
-    improved = bool((blocks[0] < f_best).any())
-    for i in range(seq_cutoff, len(X)):
-        if improved:
+    blocks = [objective(X[:cutoff])]
+    for i in range(cutoff, len(X)):
+        if (blocks[-1] < f_best).any():
             break
         blocks.append(objective(X[i : i + 1]))
-        improved = bool(blocks[-1][0] < f_best)
     return blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
 
 
@@ -356,10 +350,11 @@ def adapt(
     evaluated_y: np.ndarray,
     evaluated_f: np.ndarray,
     cfg: ConfigurationVector,
+    dm: np.ndarray,
     tpa_sign: int = 0,
-    old_mean: np.ndarray | None = None,
-) -> StrategyParams:
-    """One generation of strategy-parameter adaptation.
+) -> None:
+    """One generation of strategy-parameter adaptation, in place, with
+    ``dm`` the generation's mean step, the new mean less the old over sigma.
 
     Updates the evolution paths, the step size (cumulative adaptation
     or the two-point probe signal), and the covariance matrix (rank-one
@@ -368,10 +363,6 @@ def adapt(
     ``evaluated_y`` with the worst ``evaluated_f``).
     """
     p = params
-    if old_mean is None:
-        old_mean = p.mean
-    dm = (p.mean - old_mean) / p.sigma
-
     if not cfg.tpa:
         p.p_sigma = (1.0 - p.c_sigma) * p.p_sigma + p.csa_coef * (
             p.inv_root_C @ dm
@@ -411,7 +402,6 @@ def adapt(
     p.C = _symmetrize(p.C, p.triu_mask)
     p.t += 1
     p.decompose()
-    return p
 
 
 @dataclass
@@ -521,20 +511,18 @@ def _run_local(
         Y = np.matmul(params.B, (Z * params.d_sqrt)[:, :, None])[:, :, 0]
         X = params.mean + params.sigma * Y
 
-        f = evaluate_offspring(
-            X, acct, cfg.sequential, params.seq_cutoff, acct.best_error
-        )
+        cutoff = params.seq_cutoff if cfg.sequential else len(X)
+        f = evaluate_offspring(X, acct, cutoff, acct.best_error)
         if len(f) < len(X):  # sequential selection cut the generation
             Y, X = Y[: len(f)], X[: len(f)]
         params.parents = select(f, Y, X, params.parents, params.mu, cfg)
         f_par, y_par, x_par = params.parents
 
-        old_mean = params.mean
         new_mean = recombine(x_par, params.weights)
+        dm = (new_mean - params.mean) / params.sigma
 
         tpa_sign = 0
         if cfg.tpa:
-            dm = (new_mean - old_mean) / params.sigma
             probe = params.sigma * ALPHA_TPA * dm
             f_plus, f_minus = acct(np.stack((new_mean + probe, new_mean - probe)))
             if f_plus < f_minus:
@@ -543,7 +531,7 @@ def _run_local(
                 tpa_sign = -1
 
         params.mean = new_mean
-        adapt(params, y_par, Y, f, cfg, tpa_sign, old_mean=old_mean)
+        adapt(params, y_par, Y, f, cfg, dm, tpa_sign)
 
         if generation_best is not None:
             generation_best.append(float(f_par[0]))

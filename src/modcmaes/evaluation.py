@@ -32,7 +32,6 @@ __all__ = [
     "FitnessSummary",
     "ComparisonResult",
     "run_map",
-    "execute_runs",
     "run_batch",
     "compute_ert",
     "summarize",
@@ -192,11 +191,12 @@ class _ReadAhead:
 
 @contextlib.contextmanager
 def run_map(jobs: int) -> Iterator:
-    """Yield the lazy, ordered ``map`` that runs go through: the builtin
-    for ``jobs <= 1``, else a bounded read-ahead over one pool of
-    ``jobs`` workers, open for the block, that sends each structure's
-    seeds as a few chunks, and the last structure's one seed per chunk.
-    Leaving the block drops the chunks that no worker has started."""
+    """Yield the lazy, ordered ``map`` that runs go through, as ``map_fn(
+    partial(_run_seeds, problem, budget), plan)`` over (structure, seeds)
+    pairs: the builtin for ``jobs <= 1``, else a bounded read-ahead over
+    one pool of ``jobs`` workers, open for the block, that sends each
+    structure's seeds as a few chunks, and the last structure's one seed
+    per chunk. Leaving the block drops the chunks no worker has started."""
     if jobs <= 1:
         yield map
         return
@@ -205,21 +205,6 @@ def run_map(jobs: int) -> Iterator:
         yield partial(_ReadAhead, pool, jobs)
     finally:
         pool.shutdown(cancel_futures=True)
-
-
-def execute_runs(problem, budget: int | None, plan, map_fn=map) -> Iterator:
-    """Stream the runs of ``plan``, an iterable of (structure, seeds)
-    pairs with at least one seed each, through ``map_fn``.
-
-    Yields, per pair and in plan order, its records in seed order. A
-    pair whose run raised raises from its ``next``; the stream goes on
-    with the next pair. The plan is read only as ``map_fn`` needs it.
-    ``budget=None`` means :func:`benchmarks.default_budget`. A run
-    depends only on its arguments, so the map never changes a record.
-    """
-    if budget is None:
-        budget = default_budget(problem.dimension)
-    return map_fn(partial(_run_seeds, problem, budget), plan)
 
 
 def run_batch(
@@ -237,9 +222,11 @@ def run_batch(
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    seeds = range(seed, seed + n)
+    if budget is None:
+        budget = default_budget(problem.dimension)
+    plan = [(cfg, range(seed, seed + n))]
     with run_map(min(jobs, n)) as map_fn:
-        records = next(execute_runs(problem, budget, [(cfg, seeds)], map_fn))
+        records = next(map_fn(partial(_run_seeds, problem, budget), plan))
     return summarize(records)
 
 
@@ -457,10 +444,16 @@ class ResultsCache:
         )
 
     def records(self) -> list[RunRecord]:
-        if not os.path.exists(self.path):
-            return []
+        """The records in file order: none when the file is absent from
+        an existing directory; an absent directory raises, as open does."""
         out = []
-        with open(self.path, encoding="utf-8") as fh:
+        try:
+            fh = open(self.path, encoding="utf-8")
+        except FileNotFoundError:
+            if os.path.isdir(os.path.dirname(self.path) or "."):
+                return out
+            raise
+        with fh:
             header = fh.readline()
             if not header.endswith("\n"):
                 return out  # empty, or the first write never finished
@@ -504,6 +497,8 @@ class CachedEvaluator:
     raised appends nothing, and the next call goes on with the stream.
     Each structure is summarized once, into one immutable summary. A
     record written at another target raises :class:`MalformedInputError`.
+    ``budget=None`` is resolved once, to :func:`benchmarks.default_budget`:
+    :attr:`budget` is the int that every run of the evaluator gets.
     """
 
     def __init__(
@@ -518,7 +513,8 @@ class CachedEvaluator:
         self.problem = problem
         self.cache = cache
         self.n_runs = n_runs
-        self.budget = budget
+        self.budget = (default_budget(problem.dimension) if budget is None
+                       else budget)
         self.base_seed = base_seed
         self.map_fn = map_fn
         self.runs_executed = 0
@@ -568,9 +564,9 @@ class CachedEvaluator:
         self._plan = list(dict.fromkeys(
             c for c in cfg_strs if self.missing_seeds(c)))
         self._taken = 0
-        self._stream = execute_runs(
-            self.problem, self.budget,
-            ((c, self.missing_seeds(c)) for c in self._plan), self.map_fn,
+        self._stream = self.map_fn(
+            partial(_run_seeds, self.problem, self.budget),
+            ((c, self.missing_seeds(c)) for c in self._plan),
         )
         return self._plan
 

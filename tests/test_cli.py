@@ -124,6 +124,42 @@ class TestMissingFiles:
         assert (code, out) == (2, "")
         assert err == f"{path}: {os.strerror(errno.ENOENT)}\n"
 
+    @pytest.mark.parametrize("argv", [
+        ["run", "--config", "00000000000"],
+        ["bruteforce", "--free", "1"],
+        ["ga", "--free", "1", "--ga-budget", "2", "--ga-lambda", "2"],
+    ])
+    def test_cache_in_missing_directory_runs_nothing(
+        self, argv, tmp_path, capsys, monkeypatch
+    ):
+        runs = []
+
+        def counted(*args):
+            runs.append(args)
+            return run(*args)
+
+        run = evaluation.run
+        monkeypatch.setattr(evaluation, "run", counted)
+        path = str(tmp_path / "no-such-dir" / "c.tsv")
+        out_dir = tmp_path / "traces"
+        if argv[0] == "ga":
+            argv = [*argv, "--out", str(out_dir)]
+        code, out, err = _run_cli(
+            [*argv, *BASE, "--runs", "2", "--cache", path], capsys)
+        assert (code, out, len(runs)) == (2, "", 0)
+        assert err == f"{path}: {os.strerror(errno.ENOENT)}\n"
+        assert not out_dir.exists()
+
+    def test_report_rank_names_a_cache_in_missing_directory(
+        self, tmp_path, capsys
+    ):
+        path = str(tmp_path / "no-such-dir" / "c.tsv")
+        code, out, err = _run_cli(
+            ["report-rank", *BASE, "--free", "1", "--cache", path,
+             "--traces", str(tmp_path)], capsys)
+        assert (code, out) == (2, "")
+        assert err == f"{path}: {os.strerror(errno.ENOENT)}\n"
+
     def test_an_error_naming_no_file_propagates(self, monkeypatch):
         def broken(args):
             raise OSError("no file involved")
@@ -426,6 +462,25 @@ class TestCmdGa:
         code, out, _ = _run_cli(
             ["report-convergence", "--traces", str(out_dir)], capsys)
         assert code == 0 and len(out.splitlines()) == 2
+
+    def test_refused_cache_leaves_out_untouched(self, tmp_path, capsys):
+        """A cache of another engine version ends the command before it
+        prints or removes an earlier command's traces."""
+        out_dir = tmp_path / "traces"
+        argv = ["ga", *BASE, "--runs", "2", "--seed", "0", "--out",
+                str(out_dir), "--free", "1,2,3", "--ga-budget", "12"]
+        code, _, _ = _run_cli(
+            argv + ["--cache", str(tmp_path / "c.tsv"), "--ga-runs", "2"],
+            capsys)
+        assert code == 0
+        before = {p.name: p.read_bytes() for p in out_dir.iterdir()}
+        assert sorted(before) == ["trace_000.tsv", "trace_001.tsv"]
+        bad = tmp_path / "bad.tsv"
+        bad.write_text("#modcmaes results cache\tengine_version=2\n")
+        code, out, err = _run_cli(argv + ["--cache", str(bad)], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"{bad}:1: results cache of engine version 2;")
+        assert {p.name: p.read_bytes() for p in out_dir.iterdir()} == before
 
     def test_failures_reported_on_stderr_only(
         self, tmp_path, capsys, monkeypatch
@@ -931,6 +986,7 @@ class TestCachedEvaluator:
         cache = ResultsCache(str(tmp_path / "c.tsv"))
         cache.append(own + others)
         ev = CachedEvaluator(make_problem("sphere", 2), cache, n_runs=2)
+        assert ev.budget == 1000 * 2
         assert list(ev.cached("00000000000").runs) == own
         assert ev.cached("10000000000") is None
         assert ev.missing_seeds("10000000000") == [0, 1]

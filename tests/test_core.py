@@ -166,7 +166,7 @@ class TestEvaluateOffspring:
             calls.extend([1] * len(X))
             return np.full(len(X), 5.0)
 
-        out = evaluate_offspring(X, obj, seq_active=False, seq_cutoff=3)
+        out = evaluate_offspring(X, obj, cutoff=len(X))
         assert len(out) == 6
         assert len(calls) == 6
 
@@ -177,9 +177,7 @@ class TestEvaluateOffspring:
         def obj(X):
             return np.array([next(values) for _ in X])
 
-        out = evaluate_offspring(
-            X, obj, seq_active=True, seq_cutoff=3, f_best=1.0
-        )
+        out = evaluate_offspring(X, obj, cutoff=3, f_best=1.0)
         assert len(out) == 3
 
     def test_improvement_at_index_two_consumes_three(self):
@@ -189,9 +187,7 @@ class TestEvaluateOffspring:
         def obj(X):
             return np.array([next(values) for _ in X])
 
-        out = evaluate_offspring(
-            X, obj, seq_active=True, seq_cutoff=3, f_best=1.0
-        )
+        out = evaluate_offspring(X, obj, cutoff=3, f_best=1.0)
         assert len(out) == 3
 
     def test_no_improvement_evaluates_all(self):
@@ -200,14 +196,12 @@ class TestEvaluateOffspring:
         def obj(X):
             return np.full(len(X), 99.0)
 
-        out = evaluate_offspring(
-            X, obj, seq_active=True, seq_cutoff=2, f_best=1.0
-        )
+        out = evaluate_offspring(X, obj, cutoff=2, f_best=1.0)
         assert len(out) == 5
 
     def test_rows_evaluated_in_order(self):
         X = np.arange(8.0).reshape(4, 2)
-        out = evaluate_offspring(X, lambda X: X[:, 0], seq_active=False, seq_cutoff=2)
+        out = evaluate_offspring(X, lambda X: X[:, 0], cutoff=len(X))
         assert out.tolist() == [0.0, 2.0, 4.0, 6.0]
 
 
@@ -306,6 +300,46 @@ def test_select_matches_row_index_reference(data, n, pairwise, elitist,
     assert got[0].shape == (mu,) and got[1].shape == got[2].shape == (mu, 2)
 
 
+def _evaluate_offspring_two_paths(X, objective, seq_active, seq_cutoff,
+                                  f_best=math.inf):
+    """The reference: ``evaluate_offspring`` with a flag for sequential
+    selection beside its cutoff."""
+    if not seq_active:
+        return objective(X)
+    blocks = [objective(X[:seq_cutoff])]
+    improved = bool((blocks[0] < f_best).any())
+    for i in range(seq_cutoff, len(X)):
+        if improved:
+            break
+        blocks.append(objective(X[i : i + 1]))
+        improved = bool(blocks[-1][0] < f_best)
+    return blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
+
+
+@settings(max_examples=400)
+@given(data=st.data(), n=st.integers(0, 12), seq_active=st.booleans(),
+       f_best=_VALUES)
+def test_evaluate_offspring_matches_two_path_reference(data, n, seq_active,
+                                                       f_best):
+    values = np.array(data.draw(st.lists(_VALUES, min_size=n, max_size=n)))
+    seq_cutoff = data.draw(st.integers(0, n + 2), label="seq_cutoff")
+    X = np.arange(float(n))[:, None]  # row i is [i], the key of its value
+
+    def counting(blocks):
+        def objective(rows):
+            blocks.append(len(rows))
+            return values[rows[:, 0].astype(int)]
+        return objective
+
+    want_blocks, got_blocks = [], []
+    want = _evaluate_offspring_two_paths(
+        X, counting(want_blocks), seq_active, seq_cutoff, f_best)
+    cutoff = seq_cutoff if seq_active else len(X)
+    got = evaluate_offspring(X, counting(got_blocks), cutoff, f_best)
+    assert got.tobytes() == want.tobytes()
+    assert got_blocks == want_blocks
+
+
 class TestRecombination:
     def test_equal_weights(self):
         w = recombination_weights(4, "equal")
@@ -359,7 +393,7 @@ class TestAdapt:
         p.p_sigma = direction * p.chi_n / (1.0 - p.c_sigma)
         sigma_before = p.sigma
         f, Y, _ = _gen([1.0] * p.mu, d=p.dimension)
-        adapt(p, Y, Y, f, cfg, old_mean=p.mean.copy())
+        adapt(p, Y, Y, f, cfg, np.zeros(p.dimension))
         assert p.sigma / sigma_before == pytest.approx(1.0, abs=1e-12)
 
     def test_tpa_shorter_probe_drives_sigma_down(self):
@@ -369,7 +403,7 @@ class TestAdapt:
         f, Y, _ = _gen([1.0] * p.mu, d=p.dimension)
         previous = sigma0
         for _ in range(50):
-            adapt(p, Y, Y, f, cfg, tpa_sign=-1, old_mean=p.mean.copy())
+            adapt(p, Y, Y, f, cfg, np.zeros(p.dimension), tpa_sign=-1)
             assert p.sigma < previous
             previous = p.sigma
         assert p.sigma < sigma0
@@ -390,8 +424,9 @@ class TestAdapt:
         old = params_off.mean.copy()
         params_off.mean = new_mean.copy()
         params_on.mean = new_mean.copy()
-        adapt(params_off, y_sel, Y, f, cfg_off, old_mean=old)
-        adapt(params_on, y_sel.copy(), Y.copy(), f.copy(), cfg_on, old_mean=old)
+        dm = (new_mean - old) / params_off.sigma
+        adapt(params_off, y_sel, Y, f, cfg_off, dm)
+        adapt(params_on, y_sel.copy(), Y.copy(), f.copy(), cfg_on, dm)
 
         worst = Y[::-1][: params_on.mu]
         expected = np.zeros((dim, dim))
@@ -411,8 +446,8 @@ class TestAdapt:
         y_sel = Y[[0, 4, 5]]
         off = _fresh_params(DEFAULT, dim=dim)
         on = _fresh_params(decode("10000000000"), dim=dim)
-        adapt(off, y_sel, Y, f, DEFAULT)
-        adapt(on, y_sel, Y, f, decode("10000000000"))
+        adapt(off, y_sel, Y, f, DEFAULT, np.zeros(dim))
+        adapt(on, y_sel, Y, f, decode("10000000000"), np.zeros(dim))
 
         def active_term(rows):
             yw = Y[rows]
@@ -433,7 +468,7 @@ class TestAdapt:
             _, y_sel, x_sel = select(f, Y, X, None, p.mu, cfg)
             old = p.mean.copy()
             p.mean = recombine(x_sel, p.weights)
-            adapt(p, y_sel, Y, f, cfg, old_mean=old)
+            adapt(p, y_sel, Y, f, cfg, (p.mean - old) / p.sigma)
             assert np.max(np.abs(p.C - p.C.T)) <= 1e-12
             assert np.all(np.linalg.eigvalsh(p.C) > 0)
 

@@ -1,5 +1,6 @@
 import math
 import os
+from functools import partial
 from types import SimpleNamespace
 
 import numpy as np
@@ -20,7 +21,6 @@ from modcmaes.evaluation import (
     ResultsCache,
     compare,
     compute_ert,
-    execute_runs,
     fitness_key,
     run_batch,
     run_map,
@@ -303,7 +303,7 @@ class TestRunBatch:
         ]
 
 
-class TestExecuteRuns:
+class TestRunSeeds:
     def test_serial_map_is_builtin(self):
         with run_map(1) as map_fn:
             assert map_fn is map
@@ -312,9 +312,10 @@ class TestExecuteRuns:
         p = make_problem("sphere", 2)
         seeds = [5, 3, 4]
         plan = [("00000000000", seeds)]
-        serial, = execute_runs(p, 300, plan)
+        run_seeds = partial(evaluation._run_seeds, p, 300)
+        serial, = map(run_seeds, plan)
         with run_map(2) as map_fn:
-            pooled, = execute_runs(p, 300, plan, map_fn)
+            pooled, = map_fn(run_seeds, plan)
         assert [r.seed for r in pooled] == seeds
         assert pooled == serial
 
@@ -323,10 +324,10 @@ class TestExecuteRuns:
 
         def fake_run(cfg_str, problem, budget, seed):
             budgets.append(budget)
+            return _rec(budget, None, seed=seed)
 
         monkeypatch.setattr(evaluation, "run", fake_run)
-        list(execute_runs(make_problem("sphere", 5), None,
-                          [("00000000000", [0, 1])]))
+        run_batch("00000000000", make_problem("sphere", 5), n=2)
         assert budgets == [5000, 5000]
 
 
