@@ -17,9 +17,11 @@ runs are counted across processes, and the sweep fails unless every
 run was checked: the workers see the checks only by inheriting them
 through a forked pool. Then a sampled
 subset of the structures runs again under ``--jobs 1`` and must write
-the same cache lines. The script prints each problem's wall time and a
-digest of its cache (reported, not compared) and exits non-zero on the
-first breach.
+the same cache lines, and the digest of each problem's cache must equal
+the one pinned below. The digests were pinned under the numeric profile
+``numeric_profile.PINNED``; a mismatch prints both digests and the
+profile of the run. The script prints each problem's wall time and
+cache digest and exits non-zero on the first breach.
 
 Run it from the root of a checkout::
 
@@ -41,11 +43,16 @@ import warnings
 
 import numpy as np
 
+from numeric_profile import profile_note
+
 from modcmaes import benchmarks, cli, evaluation
 
-# (function, dimension, budget). Sphere 2-D has no rotation; rastrigin
-# rotated 3-D has a rotation, restarts and an odd default lambda of 7.
-PROBLEMS = (("sphere", 2, 400), ("rastrigin_rotated", 3, 300))
+# (function, dimension, budget, pinned cache digest). Sphere 2-D has no
+# rotation; rastrigin rotated 3-D has a rotation, restarts and an odd
+# default lambda of 7. The digest is the first 16 hex digits of the
+# sha256 of the --jobs 2 cache file; it moves with ENGINE_VERSION.
+PROBLEMS = (("sphere", 2, 400, "3a6fe3899d6f7bdd"),
+            ("rastrigin_rotated", 3, 300, "1b243a89ac230237"))
 SEEDS = 2
 SAMPLE = 48
 SPACE = 4608
@@ -98,7 +105,8 @@ def _lines_by_config(path: str) -> dict[str, list[str]]:
     return lines
 
 
-def check_problem(fid: str, dim: int, budget: int, workdir: str) -> str:
+def check_problem(fid: str, dim: int, budget: int, pinned: str,
+                  workdir: str) -> str:
     common = ["--function", fid, "--dim", str(dim), "--runs", str(SEEDS),
               "--budget", str(budget), "--seed", "0"]
     pooled = os.path.join(workdir, f"{fid}-{dim}-jobs2.tsv")
@@ -128,6 +136,9 @@ def check_problem(fid: str, dim: int, budget: int, workdir: str) -> str:
                          f"{len(differ)} of {SAMPLE} structures, first {differ[0]}")
     with open(pooled, "rb") as fh:
         digest = hashlib.sha256(fh.read()).hexdigest()[:16]
+    if digest != pinned:
+        raise SystemExit(f"{fid}-{dim}: cache digest {digest}, pinned "
+                         f"{pinned}; {profile_note()}")
     return (f"{fid}-{dim} budget {budget}: {checked} runs checked in "
             f"{wall:.1f} s, {SAMPLE} structures identical under --jobs 1, "
             f"cache digest {digest}")
@@ -140,8 +151,8 @@ def main() -> int:
     evaluation.run = _check_run(evaluation.run)
     t0 = time.perf_counter()
     with tempfile.TemporaryDirectory(prefix="check-space-") as workdir:
-        for fid, dim, budget in PROBLEMS:
-            print(check_problem(fid, dim, budget, workdir), flush=True)
+        for problem in PROBLEMS:
+            print(check_problem(*problem, workdir), flush=True)
     print(f"whole-space check: {time.perf_counter() - t0:.1f} s")
     return 0
 

@@ -14,10 +14,9 @@ execute a run.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import os
 import sys
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -37,7 +36,6 @@ from .evaluation import (
     ResultsCache,
     fitness_key,
     format_float,
-    run_map,
 )
 from .metaga import GARunTrace, TraceEntry, ga_run
 
@@ -65,16 +63,14 @@ RANK_BUCKETS = (
 )
 
 
-@contextlib.contextmanager
-def _open_evaluator(args) -> Iterator[CachedEvaluator]:
-    """The command's evaluator, with one run pool of ``--jobs`` workers
-    held open for the whole block."""
-    problem = benchmarks.make_problem(args.function, args.dim)
-    with run_map(args.jobs) as map_fn:
-        yield CachedEvaluator(
-            problem, ResultsCache(args.cache), n_runs=args.runs,
-            budget=args.budget, base_seed=args.seed, map_fn=map_fn,
-        )
+def _open_evaluator(args) -> CachedEvaluator:
+    """The command's evaluator, used as a ``with`` block that holds its
+    one run pool of ``--jobs`` workers open."""
+    return CachedEvaluator(
+        benchmarks.make_problem(args.function, args.dim),
+        ResultsCache(args.cache), n_runs=args.runs, budget=args.budget,
+        base_seed=args.seed, jobs=args.jobs,
+    )
 
 
 def _summary_line(s: FitnessSummary) -> str:
@@ -109,11 +105,9 @@ def cmd_bruteforce(args) -> int:
 
 
 def cmd_ga(args) -> int:
+    texts = {}  # trace file name -> text, written once the search ends
     with _open_evaluator(args) as evaluator:  # reads and checks the cache
-        os.makedirs(args.out, exist_ok=True)
-        for name in os.listdir(args.out):  # an earlier command's traces
-            if name.startswith("trace_"):
-                os.remove(os.path.join(args.out, name))
+        os.makedirs(args.out, exist_ok=True)  # an unusable --out ends it here
         print("run\tga_seed\tfunction_id\tdimension\tbest_config\tert\tfce")
         problem = evaluator.problem
         for i in range(args.ga_runs):
@@ -129,15 +123,19 @@ def cmd_ga(args) -> int:
                 print(f"ga run {i}: {trace.failures} of {trace.evaluations} "
                       "structure evaluations failed; first: "
                       f"{trace.first_error}", file=sys.stderr)
-            path = os.path.join(args.out, f"trace_{i:03d}.tsv")
-            with open(path, "w", encoding="utf-8") as fh:
-                fh.write(trace.to_lines())
+            texts[f"trace_{i:03d}.tsv"] = trace.to_lines()
             last = trace.entries[-1]
             print(
                 f"{i}\t{ga_seed}\t{problem.function_id}\t{problem.dimension}\t"
                 f"{last.best_config}\t{format_float(last.ert)}\t"
                 f"{format_float(last.fce)}"
             )
+    for name in os.listdir(args.out):  # an earlier, longer command's traces
+        if name.startswith("trace_") and name not in texts:
+            os.remove(os.path.join(args.out, name))
+    for name, text in texts.items():
+        with open(os.path.join(args.out, name), "w", encoding="utf-8") as fh:
+            fh.write(text)
     return 0
 
 
@@ -290,6 +288,8 @@ def cmd_report_activation(args) -> int:
             ) from None
         for lineno, line in enumerate(fh, start=2):
             parts = line.rstrip("\n").split("\t")
+            if parts == header:
+                continue  # the header of a next, concatenated output
             where = f"{args.winners}:{lineno}"
             if len(parts) < len(header):
                 raise MalformedInputError(

@@ -6,20 +6,19 @@ reaches the target, and the mean best error at budget exhaustion
 otherwise. Comparisons are ERT-first, by one sort key,
 :func:`fitness_key`; the probability that two strategies are actually
 indistinguishable is estimated with a Welch t-statistic on relative
-distances. Structures are evaluated through :class:`CachedEvaluator`,
-the one reader of the append-only :class:`ResultsCache`.
+distances. :class:`CachedEvaluator` is the one executor of seeded runs,
+serial or pooled, and the one reader of the append-only
+:class:`ResultsCache`; :func:`run_batch` is one uncached evaluator call.
 """
 
 from __future__ import annotations
 
-import contextlib
 import math
 import os
 import re
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property, partial
-from typing import Iterator
 
 import numpy as np
 
@@ -31,7 +30,6 @@ __all__ = [
     "RunRecord",
     "FitnessSummary",
     "ComparisonResult",
-    "run_map",
     "run_batch",
     "compute_ert",
     "summarize",
@@ -189,24 +187,6 @@ class _ReadAhead:
         return [r for future in head for r in future.result()]
 
 
-@contextlib.contextmanager
-def run_map(jobs: int) -> Iterator:
-    """Yield the lazy, ordered ``map`` that runs go through, as ``map_fn(
-    partial(_run_seeds, problem, budget), plan)`` over (structure, seeds)
-    pairs: the builtin for ``jobs <= 1``, else a bounded read-ahead over
-    one pool of ``jobs`` workers, open for the block, that sends each
-    structure's seeds as a few chunks, and the last structure's one seed
-    per chunk. Leaving the block drops the chunks no worker has started."""
-    if jobs <= 1:
-        yield map
-        return
-    pool = ProcessPoolExecutor(max_workers=jobs)
-    try:
-        yield partial(_ReadAhead, pool, jobs)
-    finally:
-        pool.shutdown(cancel_futures=True)
-
-
 def run_batch(
     cfg: ConfigurationVector | str,
     problem,
@@ -215,19 +195,14 @@ def run_batch(
     seed: int = 0,
     jobs: int = 1,
 ) -> FitnessSummary:
-    """n independent seeded runs (seeds ``seed + i``), aggregated.
+    """n independent seeded runs (seeds ``seed + i``), aggregated: one
+    call of an uncached :class:`CachedEvaluator`.
 
     With ``jobs > 1`` the runs execute in a process pool; the summary is
     reduced in run-index order, so parallelism never changes the result.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if budget is None:
-        budget = default_budget(problem.dimension)
-    plan = [(cfg, range(seed, seed + n))]
-    with run_map(min(jobs, n)) as map_fn:
-        records = next(map_fn(partial(_run_seeds, problem, budget), plan))
-    return summarize(records)
+    with CachedEvaluator(problem, None, n, budget, seed, min(jobs, n)) as ev:
+        return ev(cfg)
 
 
 def _relative_distance(
@@ -484,13 +459,15 @@ class ResultsCache:
 
 
 class CachedEvaluator:
-    """Fitness evaluator backed by the append-only results cache, and
-    the cache's only reader: it indexes the runs of its own (function,
+    """The one executor of seeded runs: a fitness evaluator backed by
+    the append-only results cache (none for ``cache=None``), and the
+    cache's only reader: it indexes the runs of its own (function,
     dimension) once. :meth:`cached` returns a structure's summary when
     all n seeded runs are there and never executes a run. A call takes
-    the missing runs of its structure from a stream through ``map_fn``
-    (the builtin ``map``, or a pool's from :func:`run_map`), waits for
-    them and appends them in seed order. :meth:`plan` queues the
+    the missing runs of its structure from a stream (the builtin ``map``,
+    or for ``jobs > 1`` a :class:`_ReadAhead` over one pool, built after
+    the cache is read and closed when the ``with`` block ends), waits
+    for them and appends them in seed order. :meth:`plan` queues the
     structures the caller asks for next, so that a pool runs ahead of
     the calls; a call for a structure that is not next in the plan
     drops the plan and streams that structure alone. A call whose run
@@ -504,19 +481,21 @@ class CachedEvaluator:
     def __init__(
         self,
         problem,
-        cache: ResultsCache,
+        cache: ResultsCache | None,
         n_runs: int = 32,
         budget: int | None = None,
         base_seed: int = 0,
-        map_fn=map,
+        jobs: int = 1,
     ):
+        if n_runs < 1:
+            raise ValueError("n_runs must be >= 1")
         self.problem = problem
         self.cache = cache
         self.n_runs = n_runs
         self.budget = (default_budget(problem.dimension) if budget is None
                        else budget)
         self.base_seed = base_seed
-        self.map_fn = map_fn
+        self.jobs = jobs
         self.runs_executed = 0
         self.seeds = [base_seed + i for i in range(n_runs)]
         # Keyed by the argument as given and by its string, so a vector
@@ -529,7 +508,7 @@ class CachedEvaluator:
         self._taken = 0
         self._stream = iter(())
         target = problem.target_precision
-        for r in cache.records():
+        for r in cache.records() if cache is not None else ():
             if (r.function_id == problem.function_id
                     and r.dimension == problem.dimension):
                 if (r.hit_index is None) == (r.best_error <= target):
@@ -539,6 +518,14 @@ class CachedEvaluator:
                         f"{r.best_error!r} and hit_index {hit}, so it was "
                         f"written at a target other than {target!r}")
                 self._mem.setdefault(r.config, {})[r.seed] = r
+        self._pool = ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else None
+
+    def __enter__(self) -> CachedEvaluator:
+        return self
+
+    def __exit__(self, *exc) -> None:
+        if self._pool is not None:
+            self._pool.shutdown(cancel_futures=True)
 
     def missing_seeds(self, cfg_str: str) -> list[int]:
         have = self._mem.get(cfg_str, {})
@@ -558,16 +545,16 @@ class CachedEvaluator:
         """Queue the structures the caller will ask for next, in this
         order, in place of any earlier plan, and return the queue: those
         with missing runs, each once, so its seeds are still missing
-        when the stream reads it. They stream through ``map_fn``, read
-        as it needs them; the builtin ``map`` runs nothing before the
-        call that asks for it."""
+        when the stream reads it. The stream reads them as it needs
+        them; without a pool it runs nothing before the call that asks
+        for it."""
         self._plan = list(dict.fromkeys(
             c for c in cfg_strs if self.missing_seeds(c)))
         self._taken = 0
-        self._stream = self.map_fn(
-            partial(_run_seeds, self.problem, self.budget),
-            ((c, self.missing_seeds(c)) for c in self._plan),
-        )
+        run_seeds = partial(_run_seeds, self.problem, self.budget)
+        tasks = ((c, self.missing_seeds(c)) for c in self._plan)
+        self._stream = (map(run_seeds, tasks) if self._pool is None
+                        else _ReadAhead(self._pool, self.jobs, run_seeds, tasks))
         return self._plan
 
     def __call__(self, cfg: ConfigurationVector | str) -> FitnessSummary:
@@ -582,7 +569,8 @@ class CachedEvaluator:
             self._taken += 1
             new = next(self._stream)
             self.runs_executed += len(new)
-            self.cache.append(new)
+            if self.cache is not None:
+                self.cache.append(new)
             self._mem.setdefault(cfg_str, {}).update((r.seed, r) for r in new)
             summary = self.cached(cfg_str)
         self._summaries[cfg] = summary

@@ -374,6 +374,26 @@ class TestCmdBruteforce:
         assert "executed\t4" in out
         assert built == [2]
 
+    def test_refused_cache_builds_no_pool(self, tmp_path, capsys, monkeypatch):
+        """The evaluator reads and checks the cache before it builds its
+        pool, so a refused cache starts no worker."""
+        built = []
+        init = ProcessPoolExecutor.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(kwargs.get("max_workers"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(ProcessPoolExecutor, "__init__", counting_init)
+        bad = tmp_path / "bad.tsv"
+        bad.write_text("#modcmaes results cache\tengine_version=2\n")
+        code, out, err = _run_cli(
+            ["run", "--config", "00000000000", *BASE, "--runs", "2",
+             "--jobs", "2", "--cache", str(bad)], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"{bad}:1: results cache of engine version 2;")
+        assert built == []
+
     def test_pool_wider_than_runs(self, tmp_path, capsys, monkeypatch):
         """The runs of several structures share the stream, so a sweep
         with --runs 1 still gets all --jobs workers."""
@@ -480,6 +500,46 @@ class TestCmdGa:
         code, out, err = _run_cli(argv + ["--cache", str(bad)], capsys)
         assert (code, out) == (2, "")
         assert err.startswith(f"{bad}:1: results cache of engine version 2;")
+        assert {p.name: p.read_bytes() for p in out_dir.iterdir()} == before
+
+    def test_out_that_is_a_file_ends_before_any_run(self, tmp_path, capsys):
+        out = tmp_path / "traces"
+        out.write_text("not a directory\n")
+        cache = tmp_path / "c.tsv"
+        code, stdout, err = _run_cli(
+            ["ga", *BASE, "--runs", "2", "--seed", "0", "--free", "1,2,3",
+             "--ga-runs", "2", "--ga-budget", "12", "--cache", str(cache),
+             "--out", str(out)], capsys)
+        assert (code, stdout) == (2, "")
+        assert err.startswith(f"{out}: ")
+        assert not cache.exists()
+
+    def test_a_raising_search_leaves_out_untouched(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        """The traces are written once the last GA run has ended, so a
+        search that raises keeps the last finished command's traces."""
+        out_dir = tmp_path / "traces"
+        argv = ["ga", *BASE, "--runs", "2", "--seed", "0", "--out",
+                str(out_dir), "--free", "1,2,3", "--ga-budget", "12",
+                "--cache", str(tmp_path / "c.tsv")]
+        code, _, _ = _run_cli(argv + ["--ga-runs", "2"], capsys)
+        assert code == 0
+        before = {p.name: p.read_bytes() for p in out_dir.iterdir()}
+        assert sorted(before) == ["trace_000.tsv", "trace_001.tsv"]
+        calls = []
+        ga_run = cli.ga_run
+
+        def failing_ga_run(*args, **kwargs):
+            calls.append(kwargs["seed"])
+            if len(calls) == 2:
+                raise RuntimeError("search down")
+            return ga_run(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "ga_run", failing_ga_run)
+        with pytest.raises(RuntimeError, match="search down"):
+            main(argv + ["--ga-runs", "3", "--seed", "7"])
+        assert calls == [7, 8]
         assert {p.name: p.read_bytes() for p in out_dir.iterdir()} == before
 
     def test_failures_reported_on_stderr_only(
@@ -726,6 +786,27 @@ class TestRankReport:
 
 
 class TestActivationReport:
+    def test_cli_reads_concatenated_ga_outputs(self, tmp_path, capsys):
+        """Winners of several problems, one ``ga`` stdout each, joined by
+        ``cat``: each repeated header line is skipped."""
+        outputs = []
+        for function in ("sphere", "discus"):
+            code, out, _ = _run_cli(
+                ["ga", "--function", function, "--dim", "2", "--runs", "2",
+                 "--budget", "200", "--seed", "0", "--free", "1,2,3",
+                 "--ga-runs", "2", "--ga-budget", "12",
+                 "--cache", str(tmp_path / "c.tsv"),
+                 "--out", str(tmp_path / function)], capsys)
+            assert code == 0
+            outputs.append(out)
+        winners = tmp_path / "winners.tsv"
+        winners.write_text("".join(outputs))
+        code, out, err = _run_cli(
+            ["report-activation", "--winners", str(winners)], capsys)
+        assert (code, err) == (0, "")
+        header = out.split("\n")[0].split("\t")
+        assert header == ["module", "high_conditioning_unimodal", "separable"]
+
     def test_fifty_percent_single_module(self):
         winners = [
             (decode("10000000000"), "separable"),

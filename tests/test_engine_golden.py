@@ -9,11 +9,13 @@ ones: plain CMA-ES, orthogonal sampling only, everything on, and
 Halton sampling with BIPOP restarts.
 
 The pinned values pin the numpy/OpenBLAS build they were computed
-with (numpy 2.4.6 and its bundled OpenBLAS, x86-64). Another numpy or
-BLAS build may round a matrix product differently and change the
-digests with no change to the engine; there, recompute them with
-``golden_digests()`` at a trusted commit before reading a mismatch as
-an engine change.
+with (numpy 2.4.6 and its bundled OpenBLAS, x86-64) and its numeric
+profile, ``numeric_profile.PINNED``, which a mismatch names beside the
+profile of the run. Another numpy or BLAS build, or another OpenBLAS
+core or numpy SIMD dispatch, may round a matrix product differently and
+change the digests with no change to the engine; there, recompute them
+with ``golden_digests()`` at a trusted commit before reading a mismatch
+as an engine change.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from __future__ import annotations
 import hashlib
 
 import numpy as np
+from numeric_profile import profile_note
 
 from modcmaes.benchmarks import make_problem
 from modcmaes.configuration import CATALOG
@@ -90,4 +93,4 @@ def test_sample_uses_every_option_of_every_module():
 
 def test_engine_digests_unchanged():
     assert ENGINE_VERSION == GOLDEN_ENGINE_VERSION
-    assert golden_digests() == GOLDEN
+    assert golden_digests() == GOLDEN, profile_note()

@@ -1,5 +1,6 @@
 import math
 import os
+from concurrent.futures import ProcessPoolExecutor
 from functools import partial
 from types import SimpleNamespace
 
@@ -23,7 +24,6 @@ from modcmaes.evaluation import (
     compute_ert,
     fitness_key,
     run_batch,
-    run_map,
     subsample_uncertainty,
     summarize,
     welch_uncertainty,
@@ -303,10 +303,36 @@ class TestRunBatch:
         ]
 
 
+class TestEvaluatorArguments:
+    def test_n_runs_checked_before_the_cache_is_read(self, tmp_path):
+        cache = ResultsCache(str(tmp_path / "no-such-dir" / "c.tsv"))
+        with pytest.raises(ValueError, match="n_runs must be >= 1"):
+            CachedEvaluator(make_problem("sphere", 2), cache, n_runs=0)
+
+    def test_no_cache_touches_no_file_and_equals_run_batch(
+            self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        problem = make_problem("sphere", 2)
+        with CachedEvaluator(problem, None, n_runs=3, budget=200,
+                             base_seed=5) as ev:
+            summary = ev("10100000000")
+        assert os.listdir(tmp_path) == []
+        assert ev.runs_executed == 3
+        assert summary == run_batch("10100000000", problem, n=3, budget=200,
+                                    seed=5)
+
+    def test_leaving_the_block_shuts_the_pool(self, monkeypatch):
+        monkeypatch.setattr(evaluation, "ProcessPoolExecutor", _StubPool)
+        with CachedEvaluator(make_problem("sphere", 2), None, jobs=2):
+            assert _StubPool.last.cancelled is None
+        assert _StubPool.last.cancelled is True
+
+
 class TestRunSeeds:
     def test_serial_map_is_builtin(self):
-        with run_map(1) as map_fn:
-            assert map_fn is map
+        with CachedEvaluator(make_problem("sphere", 2), None, jobs=1) as ev:
+            ev.plan(["00000000000"])
+            assert type(ev._stream) is map
 
     def test_records_in_seed_order_through_pool(self):
         p = make_problem("sphere", 2)
@@ -314,8 +340,8 @@ class TestRunSeeds:
         plan = [("00000000000", seeds)]
         run_seeds = partial(evaluation._run_seeds, p, 300)
         serial, = map(run_seeds, plan)
-        with run_map(2) as map_fn:
-            pooled, = map_fn(run_seeds, plan)
+        with ProcessPoolExecutor(max_workers=2) as pool:
+            pooled, = evaluation._ReadAhead(pool, 2, run_seeds, plan)
         assert [r.seed for r in pooled] == seeds
         assert pooled == serial
 
@@ -338,10 +364,11 @@ class _StubPool:
     def __init__(self, max_workers):
         self.in_flight = self.most = 0
         self.chunks: list[int] = []  # the seed count of each chunk
+        self.cancelled = None  # cancel_futures, once shut down
         _StubPool.last = self
 
     def shutdown(self, cancel_futures=False):
-        pass
+        self.cancelled = cancel_futures
 
     def submit(self, fn, task):
         self.in_flight += 1
@@ -362,10 +389,9 @@ class TestStream:
     def test_read_ahead_is_bounded_and_lazy(self, tmp_path, monkeypatch):
         monkeypatch.setattr(evaluation, "ProcessPoolExecutor", _StubPool)
         problem = make_problem("sphere", 2)
-        with run_map(2) as map_fn:
+        with CachedEvaluator(problem, ResultsCache(str(tmp_path / "a")),
+                             n_runs=5, budget=100, jobs=2) as ev:
             pool = _StubPool.last
-            ev = CachedEvaluator(problem, ResultsCache(str(tmp_path / "a")),
-                                 n_runs=5, budget=100, map_fn=map_fn)
             ev.plan(self.CFGS)
             assert pool.chunks == []
             for cfg in self.CFGS:
@@ -448,9 +474,8 @@ class TestStream:
         problem = make_problem("sphere", 2)
         cfgs = self.CFGS[:3]
         path = str(tmp_path / "pool.tsv")
-        with run_map(2) as map_fn:
-            ev = CachedEvaluator(problem, ResultsCache(path), n_runs=4,
-                                 budget=200, map_fn=map_fn)
+        with CachedEvaluator(problem, ResultsCache(path), n_runs=4,
+                             budget=200, jobs=2) as ev:
             ev.plan(cfgs)
             first = ev(cfgs[0])
             with pytest.raises(RuntimeError, match="engine down"):

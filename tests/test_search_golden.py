@@ -7,13 +7,17 @@ two). Then ``ga`` searches it with three children a generation, so its
 runs find different winners at different generations, and
 ``report-rank`` and ``report-convergence`` read the result. The sha256
 covers the three stdouts and every trace file, so a speed-up of the
-search path must not change one byte.
+search path must not change one byte. It was pinned under the numeric
+profile ``numeric_profile.PINNED``, which a mismatch names beside the
+profile of the run.
 """
 
 from __future__ import annotations
 
 import hashlib
 import os
+
+from numeric_profile import profile_note
 
 from modcmaes.cli import main
 from modcmaes.core import ENGINE_VERSION
@@ -53,4 +57,4 @@ def search_digest(tmp_path, capsys) -> str:
 
 def test_search_outputs_match_golden(tmp_path, capsys):
     assert ENGINE_VERSION == GOLDEN_ENGINE_VERSION
-    assert search_digest(tmp_path, capsys) == GOLDEN
+    assert search_digest(tmp_path, capsys) == GOLDEN, profile_note()
