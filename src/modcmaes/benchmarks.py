@@ -4,10 +4,11 @@ A representative ten-function suite standing in for the usual noiseless
 benchmark collection: every function is minimized, shifted to a seeded
 optimum ``x_opt`` with value offset ``f_opt``, optionally rotated, and
 reported as error ``f(x) - f_opt`` against a target precision of 1e-8
-inside the box [-5, 5]^D. Each (function, dimension) pair has one
-instance, seeded by a CRC of its name. Each raw function works along the
-last axis of its input, so :meth:`Problem.error` evaluates a block of
-points (n, D) in one call.
+inside the box [-5, 5]^D, whose bounds are the two floats
+``Problem.lower`` and ``Problem.upper``. Each (function, dimension)
+pair has one instance, seeded by a CRC of its name. Each raw function
+works along the last axis of its input, so :meth:`Problem.error`
+evaluates a block of points (n, D) in one call.
 """
 
 from __future__ import annotations
@@ -161,8 +162,12 @@ def _random_rotation(dimension: int, rng: np.random.Generator) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Problem:
-    """One shifted/rotated minimization problem on [-5, 5]^D; its
-    ``target_precision`` is the one target of a run, its ERT and ``compare``."""
+    """One shifted/rotated minimization problem on [lower, upper]^D =
+    [-5, 5]^D; its ``target_precision`` is the one target of a run, its
+    ERT and ``compare``."""
+
+    lower = LOWER  # the box's two floats: class attributes, not fields
+    upper = UPPER
 
     function_id: str
     dimension: int
@@ -177,14 +182,6 @@ class Problem:
     @cached_property
     def _unrotated(self) -> bool:
         return bool((self.rotation == np.eye(self.dimension)).all())
-
-    @property
-    def lower(self) -> np.ndarray:
-        return np.full(self.dimension, LOWER)
-
-    @property
-    def upper(self) -> np.ndarray:
-        return np.full(self.dimension, UPPER)
 
     def error(self, x: np.ndarray) -> np.ndarray | float:
         """Nonnegative optimality gap ``f(x) - f_opt`` of a point or a block.

@@ -316,10 +316,11 @@ def cmd_report_activation(args) -> int:
 def report_convergence(
     traces: Sequence[GARunTrace],
 ) -> list[tuple[int, float | None, float]]:
-    """Mean best-so-far ERT (where defined) and FCE per generation."""
+    """Mean best-so-far ERT (where defined) and FCE per generation, up
+    to the longest trace, each over the traces that reach it."""
     if not traces:
         raise ValueError("need at least one trace")
-    generations = len(traces[0].entries)
+    generations = max(len(t.entries) for t in traces)
     rows = []
     for g in range(generations):
         entries = [t.entries[g] for t in traces if g < len(t.entries)]

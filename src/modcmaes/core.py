@@ -238,8 +238,9 @@ class StrategyParams:
     ``csa_coef`` = sqrt(c_sigma (2 - c_sigma) mu_eff), ``pc_coef`` =
     sqrt(c_c (2 - c_c) mu_eff), ``c_c_var`` = c_c (2 - c_c), ``c_keep`` =
     1 - c_1 - c_mu, ``h_sig_bound`` = (1.4 + 2 / (D + 1)) chi_n and
-    ``stagnation_window`` = ceil(10 + 30 D / lambda). ``diameter`` scales
-    threshold convergence's threshold, recomputed from the budget left.
+    ``stagnation_window`` = ceil(10 + 30 D / lambda). The box [lower,
+    upper]^D gives sigma0 = 0.2 (upper - lower) and its diagonal
+    ``diameter`` = sqrt(D (upper - lower)^2), the threshold's scale.
     """
 
     def __init__(
@@ -247,8 +248,8 @@ class StrategyParams:
         dimension: int,
         cfg: ConfigurationVector,
         lambda_: int,
-        lower: np.ndarray,
-        upper: np.ndarray,
+        lower: float,
+        upper: float,
         mean: np.ndarray,
         sampler_seed: int,
     ):
@@ -282,8 +283,7 @@ class StrategyParams:
         self.h_sig_bound = (1.4 + 2.0 / (d + 1.0)) * self.chi_n
         self.stagnation_window = math.ceil(10 + 30.0 * d / self.lambda_)
 
-        span = np.asarray(upper, dtype=float) - np.asarray(lower, dtype=float)
-        self.sigma0 = 0.2 * float(span[0])
+        self.sigma0 = 0.2 * (upper - lower)
         self.sigma = self.sigma0
         self.mean = np.array(mean, dtype=float)
 
@@ -300,7 +300,7 @@ class StrategyParams:
         self.parents: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
         self.triu_mask = np.triu(np.ones((d, d), dtype=bool))
 
-        self.diameter = float(np.linalg.norm(span))
+        self.diameter = math.sqrt(d * (upper - lower) ** 2)
 
         self.sampler = Sampler(
             SamplerSpec(
@@ -383,8 +383,7 @@ def adapt(
     )
     p.p_c = (1.0 - p.c_c) * p.p_c + h_sig * p.pc_coef * dm
 
-    w = p.weight_col[: len(selected_y)]
-    rank_mu = (w * selected_y).T @ selected_y
+    rank_mu = (p.weight_col * selected_y).T @ selected_y
     # h_sig is 0.0 or 1.0, so (1 - h_sig) * c_c_var has the bits of
     # (1 - h_sig) * c_c * (2 - c_c).
     dhs = (1.0 - h_sig) * p.c_c_var
@@ -394,10 +393,9 @@ def adapt(
         + p.c_mu * rank_mu
     )
 
-    if cfg.active and len(evaluated_f):
+    if cfg.active:
         yw = evaluated_y[np.argsort(-evaluated_f, kind="stable")[: p.mu]]
-        ww = p.weight_col[: len(yw)]
-        p.C -= p.beta_active * ((ww * yw).T @ yw)
+        p.C -= p.beta_active * ((p.weight_col * yw).T @ yw)
 
     p.C = _symmetrize(p.C, p.triu_mask)
     p.t += 1
@@ -430,15 +428,15 @@ class _Accountant:
     A call evaluates a block of rows (n, D) in one ``problem.error`` call
     and charges every row it evaluates: at most the budget left, so a
     block cut by the budget ends the run after it is charged. The first
-    row whose best-so-far reaches the target is ``hit_index`` (1-based),
-    and the run ends after that block, so ``hit_index <= used <
-    hit_index + n``.
+    row whose best-so-far reaches the problem's ``target_precision`` is
+    ``hit_index`` (1-based), and the run ends after that block, so
+    ``hit_index <= used < hit_index + n``.
     """
 
-    def __init__(self, problem, budget: int, target: float, record: bool):
+    def __init__(self, problem, budget: int, record: bool):
         self.problem = problem
         self.budget = budget
-        self.target = target
+        self.target = problem.target_precision
         self.used = 0
         self.best_error = math.inf
         self.hit_index: int | None = None
@@ -501,6 +499,8 @@ def _run_local(
     generation_best: list[float] | None,
 ) -> str:
     """Inner generation loop; returns the local stop criterion that fired."""
+    # Each batch's first block: all its lambda_eff rows, or seq_cutoff.
+    cutoff = params.seq_cutoff if cfg.sequential else params.lambda_eff
     while True:
         Z = params.sampler.next_batch()
         if cfg.threshold:
@@ -511,7 +511,6 @@ def _run_local(
         Y = np.matmul(params.B, (Z * params.d_sqrt)[:, :, None])[:, :, 0]
         X = params.mean + params.sigma * Y
 
-        cutoff = params.seq_cutoff if cfg.sequential else len(X)
         f = evaluate_offspring(X, acct, cutoff, acct.best_error)
         if len(f) < len(X):  # sequential selection cut the generation
             Y, X = Y[: len(f)], X[: len(f)]
@@ -553,8 +552,9 @@ def run(
 
     It stops at ``problem.target_precision``, at the budget, or (without
     a restart regime) when a local stop criterion fires. Of ``problem`` it
-    reads ``dimension``, ``lower``, ``upper``, ``target_precision``,
-    ``function_id`` and ``error``. Identical arguments give one record.
+    reads ``dimension``, the box as the two floats ``lower`` and
+    ``upper``, ``target_precision``, ``function_id`` and ``error``.
+    Identical arguments give one record.
     """
     if isinstance(cfg, str):
         cfg = decode(cfg)
@@ -562,8 +562,7 @@ def run(
         raise ValueError("budget must be >= 1")
     d = problem.dimension
     rng = np.random.default_rng(seed)
-    acct = _Accountant(problem, budget, problem.target_precision,
-                       record_trajectory)
+    acct = _Accountant(problem, budget, record_trajectory)
     generation_best: list[float] | None = [] if record_generations else None
 
     lam0 = default_lambda(d)
@@ -592,7 +591,7 @@ def run(
                 lambda_=lam,
                 lower=problem.lower,
                 upper=problem.upper,
-                mean=rng.uniform(problem.lower, problem.upper),
+                mean=rng.uniform(problem.lower, problem.upper, d),
                 sampler_seed=int(rng.integers(2**63)),
             )
             # Counted before the local run, which may end the whole run.

@@ -489,6 +489,8 @@ class CachedEvaluator:
     ):
         if n_runs < 1:
             raise ValueError("n_runs must be >= 1")
+        if budget is not None and budget < 1:
+            raise ValueError("budget must be >= 1")
         self.problem = problem
         self.cache = cache
         self.n_runs = n_runs

@@ -201,6 +201,6 @@ def test_subgroup_lookup():
 
 def test_bounds_box():
     p = make_problem("sphere", 2)
-    assert np.array_equal(p.lower, [-5.0, -5.0])
-    assert np.array_equal(p.upper, [5.0, 5.0])
+    assert (type(p.lower), p.lower) == (float, -5.0)
+    assert (type(p.upper), p.upper) == (float, 5.0)
     assert np.all(p.x_opt >= -4.0) and np.all(p.x_opt <= 4.0)

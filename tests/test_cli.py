@@ -928,6 +928,14 @@ class TestConvergenceReport:
         assert rows[0] == (1, 100.0, 2.0)
         assert rows[1] == (2, 60.0, 1.5)
 
+    def test_rows_cover_the_longest_trace_in_any_order(self):
+        # The shorter trace comes first, as its file name would sort.
+        short = self._trace([None, 40.0], [3.0, 2.0])
+        long = self._trace([100.0, 80.0, 60.0], [1.0, 1.0, 0.5])
+        rows = report_convergence([short, long])
+        assert rows == [(1, 100.0, 2.0), (2, 60.0, 1.5), (3, 60.0, 0.5)]
+        assert report_convergence([long, short]) == rows
+
     def test_generation_count_matches_budget(self):
         t = self._trace([None] * 20, [1.0] * 20)
         assert len(report_convergence([t])) == 240 // 12

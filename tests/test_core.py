@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -6,7 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from modcmaes.benchmarks import DIMENSIONS, FUNCTIONS, make_problem
+from modcmaes.benchmarks import (
+    DIMENSIONS,
+    FUNCTIONS,
+    default_budget,
+    make_problem,
+)
 from modcmaes.configuration import CATALOG, decode, encode, enumerate_all
 from modcmaes.core import (
     SelectionShortfallError,
@@ -96,6 +102,25 @@ class TestResolveInteractions:
                 assert lam % 2 == 0
             if cfg.pairwise and cfg.sequential:
                 assert cutoff == 2 * mu
+
+    def test_every_evaluated_prefix_holds_mu_rows(self):
+        # adapt weights all mu selected rows and the mu worst evaluated
+        # rows, unsliced: a generation evaluates at least its first block
+        # of seq_cutoff rows (sequential) or lambda_eff rows, and pairwise
+        # selection of seq_cutoff rows still leaves mu candidates. run()
+        # starts local runs from lambda = 4 up to the budget cap,
+        # budget + 2, so cover every lambda a DIMENSIONS budget allows.
+        top = max(default_budget(d) for d in DIMENSIONS) + 2
+        for pairwise, tpa in itertools.product("01", "01"):
+            cfg = decode(f"000000{tpa}{pairwise}000")
+            for lam in range(4, top + 1):
+                _, mu, lam_eff, cutoff = resolve_interactions(
+                    cfg, lam, lam // 2)
+                assert mu <= cutoff <= lam_eff, (encode(cfg), lam)
+                if cfg.pairwise:
+                    rows = np.zeros((cutoff, 1))
+                    kept, _, _ = select(rows[:, 0], rows, rows, None, mu, cfg)
+                    assert len(kept) == mu, (encode(cfg), lam)
 
     def test_every_generation_draws_at_least_two_vectors(self):
         # run() never starts a local run below lambda = 4 (the budget
@@ -376,8 +401,8 @@ def _fresh_params(cfg, dim=4, seed=123):
         dimension=dim,
         cfg=cfg,
         lambda_=default_lambda(dim),
-        lower=np.full(dim, -5.0),
-        upper=np.full(dim, 5.0),
+        lower=-5.0,
+        upper=5.0,
         mean=np.zeros(dim),
         sampler_seed=seed,
     )
@@ -860,8 +885,8 @@ class TestRun:
     def test_nonfinite_objective_treated_as_inf(self):
         class NastyProblem:
             dimension = 2
-            lower = np.full(2, -5.0)
-            upper = np.full(2, 5.0)
+            lower = -5.0
+            upper = 5.0
             target_precision = 0.0
             function_id = "nasty"
 
@@ -963,6 +988,9 @@ class _ReferenceAccountant(_Accountant):
 class _ColumnProblem:
     """A problem whose error of a row is the row's first entry."""
 
+    def __init__(self, target_precision):
+        self.target_precision = target_precision
+
     def error(self, X):
         return X[:, 0].copy()
 
@@ -981,8 +1009,8 @@ _ERRORS = st.sampled_from(
     record=st.booleans(),
 )
 def test_accountant_matches_reference(blocks, budget, target, record):
-    lean = _Accountant(_ColumnProblem(), budget, target, record)
-    ref = _ReferenceAccountant(_ColumnProblem(), budget, target, record)
+    lean = _Accountant(_ColumnProblem(target), budget, record)
+    ref = _ReferenceAccountant(_ColumnProblem(target), budget, record)
     for block in blocks:
         X = np.column_stack((block, np.zeros(len(block))))
         # Calls go on after the run is over, to reach the spent budget.

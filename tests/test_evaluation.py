@@ -309,6 +309,11 @@ class TestEvaluatorArguments:
         with pytest.raises(ValueError, match="n_runs must be >= 1"):
             CachedEvaluator(make_problem("sphere", 2), cache, n_runs=0)
 
+    def test_budget_checked_before_the_cache_is_read(self, tmp_path):
+        cache = ResultsCache(str(tmp_path / "no-such-dir" / "c.tsv"))
+        with pytest.raises(ValueError, match="budget must be >= 1"):
+            CachedEvaluator(make_problem("sphere", 2), cache, budget=0)
+
     def test_no_cache_touches_no_file_and_equals_run_batch(
             self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
