@@ -51,10 +51,9 @@ def default_budget(dimension: int) -> int:
     return 1000 * dimension
 
 
-def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Dot products along the last axis: the stacked form gives the bits
-    of ``a[i] @ b[i]`` row by row, which a matrix-vector product does not."""
-    return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
+# Dot products along the last axis: the gufunc gives the bits of
+# a[i] @ b[i] row by row, which a matrix-vector product does not.
+_rowdot = np.vecdot
 
 
 def _sphere(z: np.ndarray, aux: dict) -> np.ndarray:
@@ -205,10 +204,10 @@ class Problem:
                 f"expected shape ({self.dimension},) or (n, {self.dimension}),"
                 f" got {x.shape}"
             )
-        z = x.reshape(-1, self.dimension) - self.x_opt
+        z = (x if x.ndim == 2 else x[None]) - self.x_opt
         if not self._unrotated:
-            # A stacked matrix-vector product: the bits of rotation.T @ z[i].
-            z = np.matmul(self.rotation.T, z[:, :, None])[:, :, 0]
+            # np.matvec gives the bits of rotation.T @ z[i] row by row.
+            z = np.matvec(self.rotation.T, z)
         err = FUNCTIONS[self.function_id].raw(z, self.aux)
         return float(err[0]) if x.ndim == 1 else err
 

@@ -32,8 +32,10 @@ results cache stores it.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 from numpy.linalg._umath_linalg import eigh_lo as _eigh_lo
@@ -130,14 +132,14 @@ def apply_threshold(z: np.ndarray, threshold: float) -> np.ndarray:
         raise ValueError("threshold must be >= 0")
     if threshold == 0.0:
         return z
-    # sqrt of the per-row BLAS dot, the bits of math.sqrt(z @ z)
-    norm = np.sqrt(np.matmul(z[..., None, :], z[..., :, None])[..., 0, 0])
-    short = ~(norm >= threshold)
-    if not short.any():
+    # np.vecdot gives each row the bits of z @ z, so norm is math.sqrt's
+    norm = np.sqrt(np.vecdot(z, z))
+    long = norm >= threshold
+    if np.logical_and.reduce(long, axis=None):  # .all(), without its wrapper
         return z
-    if not norm.all():  # only a short vector can be zero long
+    if not np.logical_and.reduce(norm, axis=None):  # only a short one is 0
         raise ZeroMutationError("cannot scale a zero vector to the threshold")
-    return z * np.where(short, (2.0 * threshold - norm) / norm, 1.0)[..., None]
+    return z * np.where(long, 1.0, (2.0 * threshold - norm) / norm)[..., None]
 
 
 def evaluate_offspring(
@@ -153,9 +155,11 @@ def evaluate_offspring(
     len(X)``), then one row per call until a row evaluated so far
     improves on ``f_best``. Returns the values of the evaluated prefix.
     """
+    if cutoff >= len(X):
+        return objective(X)
     blocks = [objective(X[:cutoff])]
     for i in range(cutoff, len(X)):
-        if (blocks[-1] < f_best).any():
+        if np.logical_or.reduce(blocks[-1] < f_best):
             break
         blocks.append(objective(X[i : i + 1]))
     return blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
@@ -229,16 +233,48 @@ def _eigh(C: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise np.linalg.LinAlgError("Eigenvalues did not converge") from None
 
 
+@functools.lru_cache(maxsize=256)
+def _constants(
+    d: int, lambda_: int, mu: int, weights_option: str
+) -> MappingProxyType:
+    """The constants of :class:`StrategyParams` fixed by D, lambda, mu and
+    the weights, as a read-only mapping; the local runs that share them
+    share its read-only arrays."""
+    weights = recombination_weights(mu, weights_option)
+    triu_mask = np.triu(np.ones((d, d), dtype=bool))
+    weights.flags.writeable = triu_mask.flags.writeable = False
+    m = 1.0 / float(weights @ weights)
+    c_sigma = (m + 2.0) / (d + m + 5.0)
+    d_sigma = (
+        1.0 + 2.0 * max(0.0, math.sqrt((m - 1.0) / (d + 1.0)) - 1.0) + c_sigma
+    )
+    c_c = (4.0 + m / d) / (d + 4.0 + 2.0 * m / d)
+    c_1 = 2.0 / ((d + 1.3) ** 2 + m)
+    c_mu = min(1.0 - c_1, 2.0 * (m - 2.0 + 1.0 / m) / ((d + 2.0) ** 2 + m))
+    chi_n = math.sqrt(d) * (1.0 - 1.0 / (4.0 * d) + 1.0 / (21.0 * d * d))
+    pc_coef, c_c_var = math.sqrt(c_c * (2.0 - c_c) * m), c_c * (2.0 - c_c)
+    return MappingProxyType(dict(
+        weights=weights, weight_col=weights[:, None], triu_mask=triu_mask,
+        mu_eff=m, c_sigma=c_sigma, d_sigma=d_sigma, c_c=c_c, c_1=c_1,
+        c_mu=c_mu, beta_active=(4.0 * m - 2.0) / ((d + 12.0) ** 2 + 4.0 * m),
+        chi_n=chi_n, csa_coef=math.sqrt(c_sigma * (2.0 - c_sigma) * m),
+        ps_decay=1.0 - c_sigma, sigma_rate=c_sigma / d_sigma,
+        pc_decay=1.0 - c_c, pc_gain=(0.0 * pc_coef, 1.0 * pc_coef),
+        c_scale=tuple(1.0 - c_1 - c_mu + c_1 * (h * c_c_var) for h in (1, 0)),
+        h_sig_bound=(1.4 + 2.0 / (d + 1.0)) * chi_n,
+        stagnation_window=math.ceil(10 + 30.0 * d / lambda_),
+    ))
+
+
 class StrategyParams:
     """All endogenous state of one local ES run.
 
     Derived constants follow the standard published defaults. Those that
-    depend only on D, lambda, mu and the weights are computed once per
-    local run, each by the expression the update would evaluate:
-    ``csa_coef`` = sqrt(c_sigma (2 - c_sigma) mu_eff), ``pc_coef`` =
-    sqrt(c_c (2 - c_c) mu_eff), ``c_c_var`` = c_c (2 - c_c), ``c_keep`` =
-    1 - c_1 - c_mu, ``h_sig_bound`` = (1.4 + 2 / (D + 1)) chi_n and
-    ``stagnation_window`` = ceil(10 + 30 D / lambda). The box [lower,
+    depend only on D, lambda, mu and the weights come from one cached
+    :func:`_constants` call, each by the expression the update evaluated
+    inline, e.g. ``ps_decay`` = 1 - c_sigma, ``sigma_rate`` = c_sigma /
+    d_sigma and ``stagnation_window`` = ceil(10 + 30 D / lambda); the pairs
+    ``pc_gain`` and ``c_scale`` are indexed by h_sig. The box [lower,
     upper]^D gives sigma0 = 0.2 (upper - lower) and its diagonal
     ``diameter`` = sqrt(D (upper - lower)^2), the threshold's scale.
     """
@@ -258,30 +294,9 @@ class StrategyParams:
         self.lambda_, self.mu, self.lambda_eff, self.seq_cutoff = (
             resolve_interactions(cfg, lambda_, lambda_ // 2)
         )
-
-        self.weights = recombination_weights(self.mu, cfg.weights_option)
-        self.weight_col = self.weights[:, None]  # broadcasts over rows
-        self.mu_eff = 1.0 / float(self.weights @ self.weights)
-
-        m = self.mu_eff
-        self.c_sigma = (m + 2.0) / (d + m + 5.0)
-        self.d_sigma = (
-            1.0 + 2.0 * max(0.0, math.sqrt((m - 1.0) / (d + 1.0)) - 1.0)
-            + self.c_sigma
+        vars(self).update(
+            _constants(d, self.lambda_, self.mu, cfg.weights_option)
         )
-        self.c_c = (4.0 + m / d) / (d + 4.0 + 2.0 * m / d)
-        self.c_1 = 2.0 / ((d + 1.3) ** 2 + m)
-        self.c_mu = min(
-            1.0 - self.c_1, 2.0 * (m - 2.0 + 1.0 / m) / ((d + 2.0) ** 2 + m)
-        )
-        self.beta_active = (4.0 * m - 2.0) / ((d + 12.0) ** 2 + 4.0 * m)
-        self.chi_n = math.sqrt(d) * (1.0 - 1.0 / (4.0 * d) + 1.0 / (21.0 * d * d))
-        self.csa_coef = math.sqrt(self.c_sigma * (2.0 - self.c_sigma) * m)
-        self.pc_coef = math.sqrt(self.c_c * (2.0 - self.c_c) * m)
-        self.c_c_var = self.c_c * (2.0 - self.c_c)
-        self.c_keep = 1.0 - self.c_1 - self.c_mu
-        self.h_sig_bound = (1.4 + 2.0 / (d + 1.0)) * self.chi_n
-        self.stagnation_window = math.ceil(10 + 30.0 * d / self.lambda_)
 
         self.sigma0 = 0.2 * (upper - lower)
         self.sigma = self.sigma0
@@ -298,7 +313,6 @@ class StrategyParams:
         self.t = 0
         self.repair_count = 0
         self.parents: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
-        self.triu_mask = np.triu(np.ones((d, d), dtype=bool))
 
         self.diameter = math.sqrt(d * (upper - lower) ** 2)
 
@@ -319,11 +333,13 @@ class StrategyParams:
 
     def decompose(self) -> None:
         """Refresh the eigendecomposition of C, repairing if needed."""
-        if not np.isfinite(self.C).all():
+        # np.logical_and.reduce is .all() without its Python wrapper.
+        if not np.logical_and.reduce(np.isfinite(self.C), axis=None):
             self.C = np.eye(self.dimension)
             self.p_c = np.zeros(self.dimension)
             self.repair_count += 1
-        if not (1e-32 < self.sigma < 1e32) or not np.isfinite(self.mean).all():
+        finite_mean = np.logical_and.reduce(np.isfinite(self.mean))
+        if not (1e-32 < self.sigma < 1e32 and finite_mean):
             self.sigma = self.sigma0
             self.C = np.eye(self.dimension)
             self.p_c = np.zeros(self.dimension)
@@ -364,32 +380,28 @@ def adapt(
     """
     p = params
     if not cfg.tpa:
-        p.p_sigma = (1.0 - p.c_sigma) * p.p_sigma + p.csa_coef * (
-            p.inv_root_C @ dm
-        )
+        p.p_sigma = p.ps_decay * p.p_sigma + p.csa_coef * (p.inv_root_C @ dm)
     ps_norm = math.sqrt(p.p_sigma @ p.p_sigma)
     if cfg.tpa:
         p.tpa_state = (1.0 - C_ALPHA) * p.tpa_state + C_ALPHA * tpa_sign
         p.sigma *= math.exp(p.tpa_state / p.d_sigma)
     else:
-        arg = (p.c_sigma / p.d_sigma) * (ps_norm / p.chi_n - 1.0)
+        arg = p.sigma_rate * (ps_norm / p.chi_n - 1.0)
         # A single-generation factor beyond e^20 only occurs in runs
         # already degenerate; clip instead of overflowing.
         p.sigma *= math.exp(min(max(arg, -20.0), 20.0))
 
-    h_sig = float(
-        ps_norm / math.sqrt(1.0 - (1.0 - p.c_sigma) ** (2.0 * (p.t + 1)))
+    h_sig = (
+        ps_norm / math.sqrt(1.0 - p.ps_decay ** (2.0 * (p.t + 1)))
         < p.h_sig_bound
     )
-    p.p_c = (1.0 - p.c_c) * p.p_c + h_sig * p.pc_coef * dm
+    p.p_c = p.pc_decay * p.p_c + p.pc_gain[h_sig] * dm
 
     rank_mu = (p.weight_col * selected_y).T @ selected_y
-    # h_sig is 0.0 or 1.0, so (1 - h_sig) * c_c_var has the bits of
-    # (1 - h_sig) * c_c * (2 - c_c).
-    dhs = (1.0 - h_sig) * p.c_c_var
+    # p_c[:, None] * p_c has the bits of np.multiply.outer(p_c, p_c).
     p.C = (
-        (p.c_keep + p.c_1 * dhs) * p.C
-        + p.c_1 * np.multiply.outer(p.p_c, p.p_c)
+        p.c_scale[h_sig] * p.C
+        + p.c_1 * (p.p_c[:, None] * p.p_c)
         + p.c_mu * rank_mu
     )
 
@@ -446,10 +458,13 @@ class _Accountant:
         room = self.budget - self.used
         if room <= 0:
             raise _RunOver
-        cut = room < len(X)
-        err = self.problem.error(X[:room] if cut else X)
+        n = len(X)
+        cut = room < n
+        if cut:
+            X, n = X[:room], room
+        err = self.problem.error(X)
         best = np.minimum(err, self.best_error)
-        if len(best) > 1:  # the running minimum of one row is that row
+        if n > 1:  # the running minimum of one row is that row
             best = np.minimum.accumulate(best)
         last = float(best[-1])
         if not last > -math.inf:  # a NaN or -inf row counts as +inf
@@ -457,7 +472,7 @@ class _Accountant:
             best = np.minimum.accumulate(np.minimum(err, self.best_error))
             last = float(best[-1])
         start = self.used
-        self.used += len(err)
+        self.used += n
         self.best_error = last
         if self.trajectory is not None:
             self.trajectory.append(best)
@@ -504,11 +519,11 @@ def _run_local(
     while True:
         Z = params.sampler.next_batch()
         if cfg.threshold:
-            remaining = max(acct.budget - acct.used, 0) / acct.budget
+            remaining = (acct.budget - acct.used) / acct.budget
             Z = apply_threshold(Z, 0.2 * params.diameter * remaining**0.995)
-        # A stacked matrix-vector product: the same bits as B @ (d * z)
-        # row by row, which (Z * d) @ B.T is not.
-        Y = np.matmul(params.B, (Z * params.d_sqrt)[:, :, None])[:, :, 0]
+        # np.matvec gives the bits of B @ (d * z) row by row, which
+        # (Z * d) @ B.T does not.
+        Y = np.matvec(params.B, Z * params.d_sqrt)
         X = params.mean + params.sigma * Y
 
         f = evaluate_offspring(X, acct, cutoff, acct.best_error)
@@ -535,7 +550,7 @@ def _run_local(
         if generation_best is not None:
             generation_best.append(float(f_par[0]))
 
-        reason = _local_stop(params, float(f.min()))
+        reason = _local_stop(params, float(np.minimum.reduce(f)))
         if reason is not None:
             return reason
 

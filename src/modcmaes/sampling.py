@@ -9,13 +9,13 @@ non-negative, which are Gram-Schmidt's directions, with lengths
 restored to the raw norms) and mirroring (every second vector is the
 negation of the one before it).
 
-A stack of groups is orthonormalized by one :func:`numpy.linalg.qr`
-call, which gives each group the same doubles as a QR of that group
-alone. Halton coordinates run the digit loop of :func:`radical_inverse`
-elementwise over (count, D), with the same doubles as the scalar
-definition; the low digits of each index are read from a small per-base
-table of the loop's partial sums, memoized on the tuple of bases, and
-the loop adds only the high digits.
+A stack of groups is orthonormalized by one call of each LAPACK gufunc
+behind :func:`numpy.linalg.qr`, which gives each group the same doubles
+as ``qr`` of that group alone. Halton coordinates run the digit loop of
+:func:`radical_inverse` elementwise over (count, D), with the same
+doubles as the scalar definition; the low digits of each index are read
+from a small per-base table of the loop's partial sums, memoized on the
+tuple of bases, and the loop adds only the high digits.
 
 A :class:`Sampler` serves batches of one size, fixed when it is built,
 and makes them ahead: one refill draws the raw rows of many calls with
@@ -31,6 +31,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.linalg._umath_linalg import qr_r_raw, qr_reduced
 
 __all__ = [
     "SamplerSpec",
@@ -200,10 +201,17 @@ def _orthonormalize(groups: np.ndarray) -> np.ndarray:
     every column of Q is flipped so that R's diagonal is non-negative;
     row j is then rescaled to the Euclidean norm of raw row j. A row
     whose R diagonal is exactly 0, such as a zero row, keeps its raw
-    value.
+    value. The QR calls the two LAPACK gufuncs that ``numpy.linalg.qr``
+    wraps, with its bits, and reads R's diagonal from the copy that
+    ``qr_r_raw`` factors in place; a failed call raises ``LinAlgError``.
     """
-    q, r = np.linalg.qr(groups.transpose(0, 2, 1))
-    diag = np.diagonal(r, axis1=-2, axis2=-1)[..., None]
+    a = groups.transpose(0, 2, 1).copy()
+    with np.errstate(all="ignore", invalid="raise"):
+        try:
+            q = qr_reduced(a, qr_r_raw(a, signature="d->d"), signature="dd->d")
+        except FloatingPointError:
+            raise np.linalg.LinAlgError("QR factorization failed") from None
+    diag = np.diagonal(a, axis1=-2, axis2=-1)[..., None]
     # what np.linalg.norm(groups, axis=-1) evaluates, without its overhead
     norms = np.sqrt(np.add.reduce(groups * groups, axis=-1))[..., None]
     scaled = q.transpose(0, 2, 1) * np.where(diag < 0, -norms, norms)

@@ -409,6 +409,28 @@ def _fresh_params(cfg, dim=4, seed=123):
 
 
 class TestAdapt:
+    @pytest.mark.parametrize("dim", DIMENSIONS)
+    @pytest.mark.parametrize("config", ["00000000000", "00000000100"])
+    def test_constants_have_the_inline_bits(self, dim, config):
+        # Each precomputed constant equals the expression adapt used to
+        # evaluate inline, and its arrays are shared and read-only.
+        p = _fresh_params(decode(config), dim=dim)
+        assert p.ps_decay == 1.0 - p.c_sigma
+        assert p.sigma_rate == p.c_sigma / p.d_sigma
+        assert p.pc_decay == 1.0 - p.c_c
+        pc_coef = math.sqrt(p.c_c * (2.0 - p.c_c) * p.mu_eff)
+        c_keep, c_c_var = 1.0 - p.c_1 - p.c_mu, p.c_c * (2.0 - p.c_c)
+        for h_sig in (0.0, 1.0):
+            assert p.pc_gain[bool(h_sig)] == h_sig * pc_coef
+            dhs = (1.0 - h_sig) * c_c_var
+            assert p.c_scale[bool(h_sig)] == c_keep + p.c_1 * dhs
+        other = _fresh_params(decode(config), dim=dim, seed=7)
+        assert other.weights is p.weights and other.triu_mask is p.triu_mask
+        with pytest.raises(ValueError):
+            p.weights[0] = 0.0
+        with pytest.raises(ValueError):
+            p.weight_col[0, 0] = 0.0
+
     def test_csa_fixed_point(self):
         # Zero mean shift and a conjugate path that lands exactly at its
         # expected length leave sigma untouched.
