@@ -498,8 +498,11 @@ def _local_stop(params: StrategyParams, gen_best: float) -> str | None:
     if p.sigma * math.sqrt(p.eig_max) < TOL_SIGMA * p.sigma0:
         return "tol_sigma"
     axis = p.t % p.dimension
-    probe = 0.1 * p.sigma * p.d_sqrt[axis] * p.B[:, axis]
-    if np.logical_and.reduce(p.mean + probe == p.mean):
+    step, m = 0.1 * p.sigma * p.d_sqrt[axis], p.mean[axis]
+    # Coordinate `axis` of the probe alone mostly settles the test.
+    if m + step * p.B[axis, axis] == m and np.logical_and.reduce(
+        p.mean + step * p.B[:, axis] == p.mean
+    ):
         return "no_effect_axis"
     coord = 0.2 * p.sigma * np.sqrt(p.C.diagonal())
     if np.logical_or.reduce(p.mean + coord == p.mean):

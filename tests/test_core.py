@@ -164,10 +164,11 @@ class TestApplyThreshold:
             out = apply_threshold(z, t)
             assert np.linalg.norm(out) >= t - 1e-12
 
-    def test_rows_match_scalar_definition_bitwise(self):
+    @pytest.mark.parametrize("d", (1, *DIMENSIONS))
+    def test_rows_match_scalar_definition_bitwise(self, d):
         rng = np.random.default_rng(3)
-        for d in (1, 2, 5, 20):
-            Z = rng.standard_normal((13, d)) * rng.uniform(0.01, 3.0, (13, 1))
+        for n in range(1, 41):
+            Z = rng.standard_normal((n, d)) * rng.uniform(0.01, 3.0, (n, 1))
             t = 1.5 * math.sqrt(d)
             want = []
             for z in Z:
@@ -733,6 +734,40 @@ class TestLocalStop:
         p.t = t
         expected = "no_effect_axis" if t % 4 == 0 else "no_effect_coord"
         assert _local_stop(p, 1.0) == expected
+
+    def test_no_effect_axis_reads_every_coordinate(self):
+        # The probe along axis 0 is (0, 1e-11): its coordinate 0 never
+        # moves the mean, its coordinate 1 moves 1.0 but not 1e6.
+        p = _fresh_params(DEFAULT, dim=2)
+        p.best_f = 1.0
+        p.B = np.array([[0.0, 1.0], [1.0, 0.0]])
+        p.sigma = 1e-10
+        p.t = 0
+        p.mean = np.array([1e6, 1.0])
+        assert _local_stop(p, 1.0) == "no_effect_coord"  # axis test passed
+        p.mean = np.array([1e6, 1e6])
+        assert _local_stop(p, 1.0) == "no_effect_axis"
+
+    def test_no_effect_axis_matches_the_whole_probe(self):
+        # Random states near the resolution of the mean: the criterion
+        # fires exactly when the whole probe leaves the mean unchanged.
+        rng = np.random.default_rng(11)
+        fired = 0
+        for dim in DIMENSIONS:
+            p = _fresh_params(DEFAULT, dim=dim)
+            for _ in range(200):
+                p.best_f, p.last_improvement_gen, p.t = 1.0, 0, rng.integers(9)
+                A = rng.standard_normal((dim, dim))
+                p.C = A @ A.T + np.eye(dim)
+                p.decompose()
+                p.mean = rng.choice([1.0, 1e12], dim) * rng.uniform(1, 2, dim)
+                p.sigma = 10.0 ** rng.uniform(-6, -1) * p.sigma0
+                axis = p.t % dim
+                probe = 0.1 * p.sigma * p.d_sqrt[axis] * p.B[:, axis]
+                want = bool(np.all(p.mean + probe == p.mean))
+                fired += want
+                assert (_local_stop(p, 1.0) == "no_effect_axis") == want
+        assert 0 < fired < 1000
 
     def test_criteria_fire_in_order(self):
         p = self._no_effect()
