@@ -499,7 +499,7 @@ def _local_stop(params: StrategyParams, gen_best: float) -> str | None:
         return "tol_sigma"
     axis = p.t % p.dimension
     step, m = 0.1 * p.sigma * p.d_sqrt[axis], p.mean[axis]
-    # Coordinate `axis` of the probe alone mostly settles the test.
+    # If the probe's own coordinate moves the mean, not every one stays.
     if m + step * p.B[axis, axis] == m and np.logical_and.reduce(
         p.mean + step * p.B[:, axis] == p.mean
     ):
