@@ -204,7 +204,7 @@ class Problem:
                 f"expected shape ({self.dimension},) or (n, {self.dimension}),"
                 f" got {x.shape}"
             )
-        z = (x if x.ndim == 2 else x[None]) - self.x_opt
+        z = x.reshape(-1, self.dimension) - self.x_opt
         if not self._unrotated:
             # np.matvec gives the bits of rotation.T @ z[i] row by row.
             z = np.matvec(self.rotation.T, z)

@@ -32,10 +32,8 @@ results cache stores it.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
-from types import MappingProxyType
 
 import numpy as np
 from numpy.linalg._umath_linalg import eigh_lo as _eigh_lo
@@ -134,12 +132,12 @@ def apply_threshold(z: np.ndarray, threshold: float) -> np.ndarray:
         return z
     # np.vecdot gives each row the bits of z @ z, so norm is math.sqrt's
     norm = np.sqrt(np.vecdot(z, z))
-    long = norm >= threshold
-    if np.logical_and.reduce(long, axis=None):  # .all(), without its wrapper
+    short = ~(norm >= threshold)
+    if not short.any():
         return z
-    if not np.logical_and.reduce(norm, axis=None):  # only a short one is 0
+    if not norm.all():  # only a short vector can be zero long
         raise ZeroMutationError("cannot scale a zero vector to the threshold")
-    return z * np.where(long, 1.0, (2.0 * threshold - norm) / norm)[..., None]
+    return z * np.where(short, (2.0 * threshold - norm) / norm, 1.0)[..., None]
 
 
 def evaluate_offspring(
@@ -155,11 +153,9 @@ def evaluate_offspring(
     len(X)``), then one row per call until a row evaluated so far
     improves on ``f_best``. Returns the values of the evaluated prefix.
     """
-    if cutoff >= len(X):
-        return objective(X)
     blocks = [objective(X[:cutoff])]
     for i in range(cutoff, len(X)):
-        if np.logical_or.reduce(blocks[-1] < f_best):
+        if (blocks[-1] < f_best).any():
             break
         blocks.append(objective(X[i : i + 1]))
     return blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
@@ -216,7 +212,6 @@ def _symmetrize(C: np.ndarray, triu_mask: np.ndarray) -> np.ndarray:
     return np.where(triu_mask, C, C.T) + 0.0
 
 
-# One errstate for every call: as a decorator it needs no new object a call.
 @np.errstate(all="ignore", invalid="raise")
 def _eigh(C: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``np.linalg.eigh(C)`` of a float matrix without its Python wrapper.
@@ -233,48 +228,16 @@ def _eigh(C: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise np.linalg.LinAlgError("Eigenvalues did not converge") from None
 
 
-@functools.lru_cache(maxsize=256)
-def _constants(
-    d: int, lambda_: int, mu: int, weights_option: str
-) -> MappingProxyType:
-    """The constants of :class:`StrategyParams` fixed by D, lambda, mu and
-    the weights, as a read-only mapping; the local runs that share them
-    share its read-only arrays."""
-    weights = recombination_weights(mu, weights_option)
-    triu_mask = np.triu(np.ones((d, d), dtype=bool))
-    weights.flags.writeable = triu_mask.flags.writeable = False
-    m = 1.0 / float(weights @ weights)
-    c_sigma = (m + 2.0) / (d + m + 5.0)
-    d_sigma = (
-        1.0 + 2.0 * max(0.0, math.sqrt((m - 1.0) / (d + 1.0)) - 1.0) + c_sigma
-    )
-    c_c = (4.0 + m / d) / (d + 4.0 + 2.0 * m / d)
-    c_1 = 2.0 / ((d + 1.3) ** 2 + m)
-    c_mu = min(1.0 - c_1, 2.0 * (m - 2.0 + 1.0 / m) / ((d + 2.0) ** 2 + m))
-    chi_n = math.sqrt(d) * (1.0 - 1.0 / (4.0 * d) + 1.0 / (21.0 * d * d))
-    pc_coef, c_c_var = math.sqrt(c_c * (2.0 - c_c) * m), c_c * (2.0 - c_c)
-    return MappingProxyType(dict(
-        weights=weights, weight_col=weights[:, None], triu_mask=triu_mask,
-        mu_eff=m, c_sigma=c_sigma, d_sigma=d_sigma, c_c=c_c, c_1=c_1,
-        c_mu=c_mu, beta_active=(4.0 * m - 2.0) / ((d + 12.0) ** 2 + 4.0 * m),
-        chi_n=chi_n, csa_coef=math.sqrt(c_sigma * (2.0 - c_sigma) * m),
-        ps_decay=1.0 - c_sigma, sigma_rate=c_sigma / d_sigma,
-        pc_decay=1.0 - c_c, pc_gain=(0.0 * pc_coef, 1.0 * pc_coef),
-        c_scale=tuple(1.0 - c_1 - c_mu + c_1 * (h * c_c_var) for h in (1, 0)),
-        h_sig_bound=(1.4 + 2.0 / (d + 1.0)) * chi_n,
-        stagnation_window=math.ceil(10 + 30.0 * d / lambda_),
-    ))
-
-
 class StrategyParams:
     """All endogenous state of one local ES run.
 
     Derived constants follow the standard published defaults. Those that
-    depend only on D, lambda, mu and the weights come from one cached
-    :func:`_constants` call, each by the expression the update evaluated
-    inline, e.g. ``ps_decay`` = 1 - c_sigma, ``sigma_rate`` = c_sigma /
-    d_sigma and ``stagnation_window`` = ceil(10 + 30 D / lambda); the pairs
-    ``pc_gain`` and ``c_scale`` are indexed by h_sig. The box [lower,
+    depend only on D, lambda, mu and the weights are computed once per
+    local run, each by the expression the update would evaluate:
+    ``csa_coef`` = sqrt(c_sigma (2 - c_sigma) mu_eff), ``pc_coef`` =
+    sqrt(c_c (2 - c_c) mu_eff), ``c_c_var`` = c_c (2 - c_c), ``c_keep`` =
+    1 - c_1 - c_mu, ``h_sig_bound`` = (1.4 + 2 / (D + 1)) chi_n and
+    ``stagnation_window`` = ceil(10 + 30 D / lambda). The box [lower,
     upper]^D gives sigma0 = 0.2 (upper - lower) and its diagonal
     ``diameter`` = sqrt(D (upper - lower)^2), the threshold's scale.
     """
@@ -294,9 +257,30 @@ class StrategyParams:
         self.lambda_, self.mu, self.lambda_eff, self.seq_cutoff = (
             resolve_interactions(cfg, lambda_, lambda_ // 2)
         )
-        vars(self).update(
-            _constants(d, self.lambda_, self.mu, cfg.weights_option)
+
+        self.weights = recombination_weights(self.mu, cfg.weights_option)
+        self.weight_col = self.weights[:, None]  # broadcasts over rows
+        self.mu_eff = 1.0 / float(self.weights @ self.weights)
+
+        m = self.mu_eff
+        self.c_sigma = (m + 2.0) / (d + m + 5.0)
+        self.d_sigma = (
+            1.0 + 2.0 * max(0.0, math.sqrt((m - 1.0) / (d + 1.0)) - 1.0)
+            + self.c_sigma
         )
+        self.c_c = (4.0 + m / d) / (d + 4.0 + 2.0 * m / d)
+        self.c_1 = 2.0 / ((d + 1.3) ** 2 + m)
+        self.c_mu = min(
+            1.0 - self.c_1, 2.0 * (m - 2.0 + 1.0 / m) / ((d + 2.0) ** 2 + m)
+        )
+        self.beta_active = (4.0 * m - 2.0) / ((d + 12.0) ** 2 + 4.0 * m)
+        self.chi_n = math.sqrt(d) * (1.0 - 1.0 / (4.0 * d) + 1.0 / (21.0 * d * d))
+        self.csa_coef = math.sqrt(self.c_sigma * (2.0 - self.c_sigma) * m)
+        self.pc_coef = math.sqrt(self.c_c * (2.0 - self.c_c) * m)
+        self.c_c_var = self.c_c * (2.0 - self.c_c)
+        self.c_keep = 1.0 - self.c_1 - self.c_mu
+        self.h_sig_bound = (1.4 + 2.0 / (d + 1.0)) * self.chi_n
+        self.stagnation_window = math.ceil(10 + 30.0 * d / self.lambda_)
 
         self.sigma0 = 0.2 * (upper - lower)
         self.sigma = self.sigma0
@@ -313,6 +297,7 @@ class StrategyParams:
         self.t = 0
         self.repair_count = 0
         self.parents: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+        self.triu_mask = np.triu(np.ones((d, d), dtype=bool))
 
         self.diameter = math.sqrt(d * (upper - lower) ** 2)
 
@@ -333,13 +318,11 @@ class StrategyParams:
 
     def decompose(self) -> None:
         """Refresh the eigendecomposition of C, repairing if needed."""
-        # np.logical_and.reduce is .all() without its Python wrapper.
-        if not np.logical_and.reduce(np.isfinite(self.C), axis=None):
+        if not np.isfinite(self.C).all():
             self.C = np.eye(self.dimension)
             self.p_c = np.zeros(self.dimension)
             self.repair_count += 1
-        finite_mean = np.logical_and.reduce(np.isfinite(self.mean))
-        if not (1e-32 < self.sigma < 1e32 and finite_mean):
+        if not (1e-32 < self.sigma < 1e32) or not np.isfinite(self.mean).all():
             self.sigma = self.sigma0
             self.C = np.eye(self.dimension)
             self.p_c = np.zeros(self.dimension)
@@ -380,28 +363,32 @@ def adapt(
     """
     p = params
     if not cfg.tpa:
-        p.p_sigma = p.ps_decay * p.p_sigma + p.csa_coef * (p.inv_root_C @ dm)
+        p.p_sigma = (1.0 - p.c_sigma) * p.p_sigma + p.csa_coef * (
+            p.inv_root_C @ dm
+        )
     ps_norm = math.sqrt(p.p_sigma @ p.p_sigma)
     if cfg.tpa:
         p.tpa_state = (1.0 - C_ALPHA) * p.tpa_state + C_ALPHA * tpa_sign
         p.sigma *= math.exp(p.tpa_state / p.d_sigma)
     else:
-        arg = p.sigma_rate * (ps_norm / p.chi_n - 1.0)
+        arg = (p.c_sigma / p.d_sigma) * (ps_norm / p.chi_n - 1.0)
         # A single-generation factor beyond e^20 only occurs in runs
         # already degenerate; clip instead of overflowing.
         p.sigma *= math.exp(min(max(arg, -20.0), 20.0))
 
-    h_sig = (
-        ps_norm / math.sqrt(1.0 - p.ps_decay ** (2.0 * (p.t + 1)))
+    h_sig = float(
+        ps_norm / math.sqrt(1.0 - (1.0 - p.c_sigma) ** (2.0 * (p.t + 1)))
         < p.h_sig_bound
     )
-    p.p_c = p.pc_decay * p.p_c + p.pc_gain[h_sig] * dm
+    p.p_c = (1.0 - p.c_c) * p.p_c + h_sig * p.pc_coef * dm
 
     rank_mu = (p.weight_col * selected_y).T @ selected_y
-    # p_c[:, None] * p_c has the bits of np.multiply.outer(p_c, p_c).
+    # h_sig is 0.0 or 1.0, so (1 - h_sig) * c_c_var has the bits of
+    # (1 - h_sig) * c_c * (2 - c_c).
+    dhs = (1.0 - h_sig) * p.c_c_var
     p.C = (
-        p.c_scale[h_sig] * p.C
-        + p.c_1 * (p.p_c[:, None] * p.p_c)
+        (p.c_keep + p.c_1 * dhs) * p.C
+        + p.c_1 * np.multiply.outer(p.p_c, p.p_c)
         + p.c_mu * rank_mu
     )
 
@@ -458,13 +445,10 @@ class _Accountant:
         room = self.budget - self.used
         if room <= 0:
             raise _RunOver
-        n = len(X)
-        cut = room < n
-        if cut:
-            X, n = X[:room], room
-        err = self.problem.error(X)
+        cut = room < len(X)
+        err = self.problem.error(X[:room] if cut else X)
         best = np.minimum(err, self.best_error)
-        if n > 1:  # the running minimum of one row is that row
+        if len(best) > 1:  # the running minimum of one row is that row
             best = np.minimum.accumulate(best)
         last = float(best[-1])
         if not last > -math.inf:  # a NaN or -inf row counts as +inf
@@ -472,7 +456,7 @@ class _Accountant:
             best = np.minimum.accumulate(np.minimum(err, self.best_error))
             last = float(best[-1])
         start = self.used
-        self.used += n
+        self.used += len(err)
         self.best_error = last
         if self.trajectory is not None:
             self.trajectory.append(best)
@@ -498,11 +482,8 @@ def _local_stop(params: StrategyParams, gen_best: float) -> str | None:
     if p.sigma * math.sqrt(p.eig_max) < TOL_SIGMA * p.sigma0:
         return "tol_sigma"
     axis = p.t % p.dimension
-    step, m = 0.1 * p.sigma * p.d_sqrt[axis], p.mean[axis]
-    # If the probe's own coordinate moves the mean, not every one stays.
-    if m + step * p.B[axis, axis] == m and np.logical_and.reduce(
-        p.mean + step * p.B[:, axis] == p.mean
-    ):
+    probe = 0.1 * p.sigma * p.d_sqrt[axis] * p.B[:, axis]
+    if np.logical_and.reduce(p.mean + probe == p.mean):
         return "no_effect_axis"
     coord = 0.2 * p.sigma * np.sqrt(p.C.diagonal())
     if np.logical_or.reduce(p.mean + coord == p.mean):
@@ -553,7 +534,7 @@ def _run_local(
         if generation_best is not None:
             generation_best.append(float(f_par[0]))
 
-        reason = _local_stop(params, float(np.minimum.reduce(f)))
+        reason = _local_stop(params, float(f.min()))
         if reason is not None:
             return reason
 

@@ -3,8 +3,10 @@
 The engine evaluates a generation as one block of rows, and every row
 must get the doubles that its own per-row expression gives. These tests
 pin each primitive against that reference for every D in ``DIMENSIONS``
-and block sizes from 1 to 40, so a numpy upgrade that changes one of
-them fails here, on that primitive, and not only on a golden digest.
+and block sizes from 1 to 40 and up to the populations that IPOP's
+doubling reaches at 20-D (12 * 2**7 = 1536 rows), so a numpy upgrade
+that changes one of them fails here, on that primitive, and not only on
+a golden digest.
 The threshold's row norms are pinned the same way in ``test_core.py``
 (``TestApplyThreshold``).
 """
@@ -16,7 +18,10 @@ from modcmaes import sampling
 from modcmaes.benchmarks import DIMENSIONS, FUNCTIONS, _rowdot, make_problem
 from modcmaes.sampling import _orthonormalize
 
-BLOCKS = range(1, 41)
+# Small blocks one by one, then large ones: 200, 12 * 2**6 and 12 * 2**7
+# (IPOP's doubled populations at 20-D, within the 20,000-row budget) and
+# 1,000.
+BLOCKS = (*range(1, 41), 200, 768, 1000, 1536)
 
 
 def _rows(rng, n, d):
@@ -85,7 +90,9 @@ def _qr_reference(group):
 
 
 def _group_cases(d, rng):
-    """Stacks (k, n, D): every n <= D, k from 1 to 7, and zero rows."""
+    """Stacks (k, n, D): every n <= D, k from 1 to 7, zero rows, and a
+    refill-sized stack of 200 full groups."""
+    yield rng.standard_normal((200, d, d))
     for n in range(1, d + 1):
         for k in (1, 2, 7):
             yield rng.standard_normal((k, n, d))
