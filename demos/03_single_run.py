@@ -32,7 +32,7 @@ for config, label in [
     print(f"  {config} ({label:32s}): {wins}/10 runs reach 1e-8")
 
 # The best-so-far error curve is non-increasing by construction.
-rec = run("00000000001", rastrigin, budget=6000, seed=3, record_trajectory=True)
+rec = run("00000000001", rastrigin, budget=6000, seed=3, record=True)
 marks = np.unique(np.geomspace(1, rec.evaluations_used, 12).astype(int)) - 1
 print("\nbest-so-far error along one run:")
 for i in marks:

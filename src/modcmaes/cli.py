@@ -244,14 +244,15 @@ def report_rank(args) -> int:
 
 
 def report_activation(
-    winners: Sequence[tuple[ConfigurationVector, str]],
-) -> tuple[list[str], dict[str, list[str]]]:
+    winners: Sequence[tuple[ConfigurationVector, str | int]],
+) -> tuple[list[str | int], dict[str, list[str]]]:
     """The sorted group labels, and per module its activation
     percentages in each group.
 
-    ``winners`` pairs a configuration with its group label. Binary
-    modules report the share of non-default activations; the two
-    ternary modules report both alternatives as "a/b" percentages.
+    ``winners`` pairs a configuration with its group label, a subgroup
+    name or a dimension, which sorts as a number. Binary modules report
+    the share of non-default activations; the two ternary modules report
+    both alternatives as "a/b" percentages.
     """
     if not winners:
         raise ValueError("no winning configurations given")
@@ -274,7 +275,7 @@ def report_activation(
 
 
 def cmd_report_activation(args) -> int:
-    winners: list[tuple[ConfigurationVector, str]] = []
+    winners: list[tuple[ConfigurationVector, str | int]] = []
     with open(args.winners, encoding="utf-8") as fh:
         header = fh.readline().rstrip("\n").split("\t")
         try:
@@ -296,18 +297,16 @@ def cmd_report_activation(args) -> int:
                     f"{where}: {len(parts)} of {len(header)} fields")
             try:
                 cfg = decode(parts[c_cfg])
-                if args.group_by == "dimension":
-                    label = parts[c_dim]
-                else:
-                    label = benchmarks.subgroup_of(parts[c_fid])
-            except (ConfigError, KeyError) as exc:
+                label = (int(parts[c_dim]) if args.group_by == "dimension"
+                         else benchmarks.subgroup_of(parts[c_fid]))
+            except (ValueError, KeyError) as exc:  # ConfigError is a ValueError
                 raise MalformedInputError(
-                    f"{where}: bad config or function: {exc}") from None
+                    f"{where}: bad config, function or dimension: {exc}") from None
             winners.append((cfg, label))
     if not winners:
         raise MalformedInputError(f"{args.winners}:2: no winner line")
     groups, table = report_activation(winners)
-    print("module\t" + "\t".join(groups))
+    print("module\t" + "\t".join(map(str, groups)))
     for name, row in table.items():
         print(name + "\t" + "\t".join(row))
     return 0

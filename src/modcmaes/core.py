@@ -229,7 +229,7 @@ def _eigh(C: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 class StrategyParams:
-    """All endogenous state of one local ES run.
+    """All endogenous state of one local ES run in D = len(mean) dimensions.
 
     Derived constants follow the standard published defaults. Those that
     depend only on D, lambda, mu and the weights are computed once per
@@ -244,7 +244,6 @@ class StrategyParams:
 
     def __init__(
         self,
-        dimension: int,
         cfg: ConfigurationVector,
         lambda_: int,
         lower: float,
@@ -252,8 +251,8 @@ class StrategyParams:
         mean: np.ndarray,
         sampler_seed: int,
     ):
-        d = dimension
-        self.dimension = d
+        self.mean = np.array(mean, dtype=float)
+        self.dimension = d = len(self.mean)
         self.lambda_, self.mu, self.lambda_eff, self.seq_cutoff = (
             resolve_interactions(cfg, lambda_, lambda_ // 2)
         )
@@ -284,7 +283,6 @@ class StrategyParams:
 
         self.sigma0 = 0.2 * (upper - lower)
         self.sigma = self.sigma0
-        self.mean = np.array(mean, dtype=float)
 
         self.C = np.eye(d)
         self.B = np.eye(d)
@@ -412,8 +410,8 @@ class RunRecord:
     evaluations_used: int
     best_error: float
     hit_index: int | None
-    trajectory: np.ndarray | None = None
-    generation_best_f: list[float] | None = None
+    trajectory: np.ndarray | None = None  # best-so-far error per evaluation
+    generation_best_f: list[float] | None = None  # best parent per generation
     restarts: int = 0
 
     @property
@@ -440,6 +438,7 @@ class _Accountant:
         self.best_error = math.inf
         self.hit_index: int | None = None
         self.trajectory: list[np.ndarray] | None = [] if record else None
+        self.generation_best: list[float] | None = [] if record else None
 
     def __call__(self, X: np.ndarray) -> np.ndarray:
         room = self.budget - self.used
@@ -492,10 +491,7 @@ def _local_stop(params: StrategyParams, gen_best: float) -> str | None:
 
 
 def _run_local(
-    cfg: ConfigurationVector,
-    params: StrategyParams,
-    acct: _Accountant,
-    generation_best: list[float] | None,
+    cfg: ConfigurationVector, params: StrategyParams, acct: _Accountant
 ) -> str:
     """Inner generation loop; returns the local stop criterion that fired."""
     # Each batch's first block: all its lambda_eff rows, or seq_cutoff.
@@ -531,8 +527,8 @@ def _run_local(
         params.mean = new_mean
         adapt(params, y_par, Y, f, cfg, dm, tpa_sign)
 
-        if generation_best is not None:
-            generation_best.append(float(f_par[0]))
+        if acct.generation_best is not None:
+            acct.generation_best.append(float(f_par[0]))
 
         reason = _local_stop(params, float(f.min()))
         if reason is not None:
@@ -544,8 +540,7 @@ def run(
     problem,
     budget: int,
     seed: int,
-    record_trajectory: bool = False,
-    record_generations: bool = False,
+    record: bool = False,
 ) -> RunRecord:
     """Execute one seeded ES run under a fixed evaluation budget.
 
@@ -553,7 +548,8 @@ def run(
     a restart regime) when a local stop criterion fires. Of ``problem`` it
     reads ``dimension``, the box as the two floats ``lower`` and
     ``upper``, ``target_precision``, ``function_id`` and ``error``.
-    Identical arguments give one record.
+    ``record`` fills the record's ``trajectory`` and ``generation_best_f``
+    and changes nothing else. Identical arguments give one record.
     """
     if isinstance(cfg, str):
         cfg = decode(cfg)
@@ -561,8 +557,7 @@ def run(
         raise ValueError("budget must be >= 1")
     d = problem.dimension
     rng = np.random.default_rng(seed)
-    acct = _Accountant(problem, budget, record_trajectory)
-    generation_best: list[float] | None = [] if record_generations else None
+    acct = _Accountant(problem, budget, record)
 
     lam0 = default_lambda(d)
     # BIPOP: the largest lambda, evaluations spent in large and small runs.
@@ -585,7 +580,6 @@ def run(
             lam = max(4, min(lam, budget - acct.used + 2))
             used_before = acct.used
             params = StrategyParams(
-                dimension=d,
                 cfg=cfg,
                 lambda_=lam,
                 lower=problem.lower,
@@ -595,7 +589,7 @@ def run(
             )
             # Counted before the local run, which may end the whole run.
             starts += 1
-            _run_local(cfg, params, acct, generation_best)
+            _run_local(cfg, params, acct)
             if cfg.restart_regime == "none":
                 break
             if small:
@@ -613,10 +607,7 @@ def run(
         evaluations_used=acct.used,
         best_error=acct.best_error,
         hit_index=acct.hit_index,
-        trajectory=(
-            np.concatenate(acct.trajectory)
-            if acct.trajectory is not None else None
-        ),
-        generation_best_f=generation_best,
+        trajectory=np.concatenate(acct.trajectory) if record else None,
+        generation_best_f=acct.generation_best,
         restarts=starts - 1,
     )

@@ -14,8 +14,8 @@ behind :func:`numpy.linalg.qr`, which gives each group the same doubles
 as ``qr`` of that group alone. Halton coordinates run the digit loop of
 :func:`radical_inverse` elementwise over (count, D), with the same
 doubles as the scalar definition; the low digits of each index are read
-from a small per-base table of the loop's partial sums, memoized on the
-tuple of bases, and the loop adds only the high digits.
+from a small per-base table of the loop's partial sums, memoized by
+dimension, and the loop adds only the high digits.
 
 A :class:`Sampler` serves batches of one size, fixed when it is built,
 and makes them ahead: one refill draws the raw rows of many calls with
@@ -56,7 +56,7 @@ class CapabilityError(ValueError):
 
 @dataclass(frozen=True)
 class SamplerSpec:
-    """Recipe for one mutation-vector stream."""
+    """Recipe for one mutation-vector stream, checked when built."""
 
     base: str = "gaussian"
     mirrored: bool = False
@@ -69,6 +69,10 @@ class SamplerSpec:
             raise ValueError(f"base must be one of {BASE_CHOICES}")
         if self.dimension < 1:
             raise ValueError("dimension must be >= 1")
+        if self.base == "sobol" and self.dimension > _SOBOL_MAX_DIM:
+            raise CapabilityError(
+                f"sobol direction numbers available up to dimension {_SOBOL_MAX_DIM}"
+            )
 
 
 def first_primes(n: int) -> list[int]:
@@ -113,14 +117,15 @@ def _digit_loop(index, bases, inv, denom):
 
 
 @functools.cache
-def _digit_tables(primes: tuple[int, ...]):
-    """Loop state after the low digits of every residue, per base.
+def _digit_tables(dimension: int):
+    """Loop state after the low digits of every residue, memoized by dimension.
 
-    For base b the table covers the low L digits, b**L <= _TABLE_WIDTH
-    (L = 0 for larger bases): entry r is the partial sum after L steps
-    of the digit loop on r, and ``denoms`` holds b**L as the loop
-    computes it. The tables of all bases are concatenated.
+    For each of the first ``dimension`` primes b the table covers the
+    low L digits, b**L <= _TABLE_WIDTH (L = 0 for larger bases): entry
+    r is the partial sum after L steps of the digit loop on r, and
+    ``denoms`` holds b**L as the loop computes it; the tables are concatenated.
     """
+    primes = first_primes(dimension)
     sums, widths, denoms = [], [], []
     for b in primes:
         width = 1
@@ -139,14 +144,14 @@ def _digit_tables(primes: tuple[int, ...]):
     return tables
 
 
-def _halton(index: np.ndarray, primes: tuple[int, ...]) -> np.ndarray:
+def _halton(index: np.ndarray, dimension: int) -> np.ndarray:
     """Halton points ``index`` (1-D, non-negative), one row per index.
 
     Equal, bit for bit, to :func:`radical_inverse` per coordinate: the
-    low digits come from the memoized tables, and the digit loop adds
-    the high ones.
+    low digits come from the tables memoized by dimension, and the digit
+    loop adds the high ones.
     """
-    bases, widths, offsets, sums, denoms = _digit_tables(primes)
+    bases, widths, offsets, sums, denoms = _digit_tables(dimension)
     high, low = np.divmod(index[:, None], widths)
     inv, _ = _digit_loop(high, bases, sums[offsets + low], denoms)
     return inv
@@ -163,16 +168,11 @@ def quasi_uniform(base: str, dimension: int, index: int) -> np.ndarray:
         raise ValueError(f"base must be 'sobol' or 'halton', got {base!r}")
     if index < 0:
         raise ValueError("index must be >= 0")
-    if dimension < 1:
-        raise ValueError("dimension must be >= 1")
+    SamplerSpec(base=base, dimension=dimension)  # checks the dimension
     if base == "halton":
         if index >= 2**63:
             raise ValueError("halton index must be < 2**63")
-        return _halton(np.array([index]), tuple(first_primes(dimension)))[0]
-    if dimension > _SOBOL_MAX_DIM:
-        raise CapabilityError(
-            f"sobol direction numbers available up to dimension {_SOBOL_MAX_DIM}"
-        )
+        return _halton(np.array([index]), dimension)[0]
     from scipy.stats import qmc  # costly import; Sobol streams only
 
     engine = qmc.Sobol(d=dimension, scramble=False)
@@ -249,17 +249,11 @@ class Sampler:
         if spec.base == "gaussian":
             self._rng = np.random.default_rng(spec.seed)
         elif spec.base == "sobol":
-            if d > _SOBOL_MAX_DIM:
-                raise CapabilityError(
-                    f"sobol direction numbers available up to dimension "
-                    f"{_SOBOL_MAX_DIM}"
-                )
             from scipy.stats import qmc  # costly import; Sobol streams only
 
             self._engine = qmc.Sobol(d=d, scramble=True, seed=spec.seed)
             self._engine.fast_forward(1)
         else:
-            self._primes = tuple(first_primes(d))
             offset_rng = np.random.default_rng(spec.seed)
             # Random start offset so independent runs decorrelate.
             self._index = 1 + int(offset_rng.integers(1 << 16))
@@ -276,7 +270,7 @@ class Sampler:
             tiny = np.finfo(float).tiny
             u = np.clip(u, tiny, 1.0 - np.finfo(float).epsneg)
             return gaussian_transform(u)
-        u = _halton(self._index + np.arange(count), self._primes)
+        u = _halton(self._index + np.arange(count), spec.dimension)
         self._index += count
         return gaussian_transform(u)
 

@@ -107,7 +107,7 @@ def test_05_elitism_monotonicity():
             problem,
             budget=1500,
             seed=seed,
-            record_generations=True,
+            record=True,
         )
         g = rec.generation_best_f
         if any(b > a + 1e-15 for a, b in zip(g, g[1:])):

@@ -888,7 +888,9 @@ class TestActivationReport:
         winners.write_text(
             "run\tga_seed\tfunction_id\tdimension\tbest_config\tert\tfce\n"
             "0\t0\tsphere\t2\t10000000000\tNA\t1.0\n"
-            "1\t1\tsphere\t5\t00000000000\tNA\t1.0\n"
+            "1\t1\tsphere\t10\t00000000000\tNA\t1.0\n"
+            "2\t2\tsphere\t5\t00000000000\tNA\t1.0\n"
+            "3\t3\tsphere\t20\t10000000000\tNA\t1.0\n"
         )
         code, out, _ = _run_cli(
             ["report-activation", "--winners", str(winners),
@@ -896,8 +898,25 @@ class TestActivationReport:
             capsys,
         )
         assert code == 0
-        header = out.strip().split("\n")[0].split("\t")
-        assert header == ["module", "2", "5"]
+        lines = out.strip().split("\n")
+        assert lines[0].split("\t") == ["module", "2", "5", "10", "20"]
+        assert lines[1].split("\t") == [
+            "active_update", "100.0", "0.0", "0.0", "100.0"]
+
+    def test_cli_group_by_bad_dimension_names_file_and_line(
+            self, tmp_path, capsys):
+        winners = tmp_path / "winners.tsv"
+        winners.write_text(
+            "run\tga_seed\tfunction_id\tdimension\tbest_config\tert\tfce\n"
+            "0\t0\tsphere\tten\t10000000000\tNA\t1.0\n"
+        )
+        code, out, err = _run_cli(
+            ["report-activation", "--winners", str(winners),
+             "--group-by", "dimension"],
+            capsys,
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith(f"{winners}:2: ") and err.count("\n") == 1
 
 
 class TestConvergenceReport:

@@ -14,6 +14,7 @@ from modcmaes.benchmarks import (
     make_problem,
 )
 from modcmaes.configuration import CATALOG, decode, encode, enumerate_all
+from modcmaes.evaluation import ResultsCache
 from modcmaes.core import (
     SelectionShortfallError,
     StrategyParams,
@@ -398,7 +399,6 @@ class TestRecombination:
 
 def _fresh_params(cfg, dim=4, seed=123):
     return StrategyParams(
-        dimension=dim,
         cfg=cfg,
         lambda_=default_lambda(dim),
         lower=-5.0,
@@ -766,8 +766,8 @@ class TestRun:
 
     def test_deterministic_records(self):
         p = make_problem("rastrigin_separable", 2)
-        a = run("10100010011", p, budget=1200, seed=7, record_trajectory=True)
-        b = run("10100010011", p, budget=1200, seed=7, record_trajectory=True)
+        a = run("10100010011", p, budget=1200, seed=7, record=True)
+        b = run("10100010011", p, budget=1200, seed=7, record=True)
         assert a.evaluations_used == b.evaluations_used
         assert a.best_error == b.best_error
         assert a.hit_index == b.hit_index
@@ -791,7 +791,7 @@ class TestRun:
     def test_best_so_far_non_increasing(self):
         p = make_problem("schaffers", 2)
         for config in ("00000000000", "01010101010", "11111111122"):
-            rec = run(config, p, budget=900, seed=11, record_trajectory=True)
+            rec = run(config, p, budget=900, seed=11, record=True)
             assert np.all(np.diff(rec.trajectory) <= 0)
 
     def test_hit_index_consistency(self):
@@ -822,7 +822,7 @@ class TestRun:
                 p,
                 budget=1200,
                 seed=seed,
-                record_generations=True,
+                record=True,
             )
             g = rec.generation_best_f
             assert len(g) >= 1
@@ -897,6 +897,27 @@ class TestRun:
         assert rec.evaluations_used == 100
         assert math.isfinite(rec.best_error)
 
+    @pytest.mark.parametrize("config", [
+        "10000000000",  # active update
+        "00001000000",  # sequential selection
+        "00000100000",  # threshold convergence
+        "00000010000",  # TPA
+        "00000000001",  # IPOP
+        "00000000002",  # BIPOP
+        "10001110002",  # all of them under BIPOP
+    ])
+    def test_record_switch_leaves_the_run_alone(self, config):
+        p = _with_target(make_problem("rastrigin_rotated", 3), 0.0)
+        bare = run(config, p, budget=1500, seed=4)
+        rec = run(config, p, budget=1500, seed=4, record=True)
+        assert ResultsCache.format_record(rec) == ResultsCache.format_record(bare)
+        assert rec.restarts == bare.restarts
+        assert bare.trajectory is None and bare.generation_best_f is None
+        assert len(rec.trajectory) == rec.evaluations_used
+        assert len(rec.generation_best_f) >= 1
+        if config.endswith(("1", "2")):
+            assert rec.restarts >= 1
+
     def test_accepts_config_string(self):
         p = make_problem("sphere", 2)
         rec = run("00000000000", p, budget=50, seed=0)
@@ -935,8 +956,7 @@ _STRUCTURES = st.tuples(
 )
 def test_block_accounting(structure, function, dim, budget, target, seed):
     log = _BlockLog(_with_target(make_problem(function, dim), target))
-    rec = run(structure, log, budget, seed, record_trajectory=True,
-              record_generations=True)
+    rec = run(structure, log, budget, seed, record=True)
     assert rec.evaluations_used <= budget
     assert sum(map(len, log.blocks)) == rec.evaluations_used
     assert rec.success == (rec.best_error <= target)
@@ -950,12 +970,16 @@ def test_block_accounting(structure, function, dim, budget, target, seed):
     assert (np.diff(rec.trajectory) <= 0).all()
     assert rec.trajectory[-1] == rec.best_error
     again = run(structure, _with_target(make_problem(function, dim), target),
-                budget, seed, record_trajectory=True, record_generations=True)
+                budget, seed, record=True)
     assert (again.evaluations_used, again.best_error, again.hit_index,
             again.restarts, again.generation_best_f) == (
         rec.evaluations_used, rec.best_error, rec.hit_index, rec.restarts,
         rec.generation_best_f)
     assert again.trajectory.tobytes() == rec.trajectory.tobytes()
+    bare = run(structure, _with_target(make_problem(function, dim), target),
+               budget, seed)
+    assert ResultsCache.format_record(bare) == ResultsCache.format_record(rec)
+    assert bare.restarts == rec.restarts
 
 
 class _ReferenceAccountant(_Accountant):

@@ -75,8 +75,7 @@ def golden_digests() -> dict[str, str]:
             problems[k],
             budget=per_dim * dim,
             seed=seed,
-            record_trajectory=True,
-            record_generations=True,
+            record=True,
         )
         h = hashes[f"{fid}-{dim}"]
         h.update(ResultsCache.format_record(rec).encode())

@@ -63,6 +63,12 @@ def test_sobol_dyadic_stratification():
 def test_sobol_dimension_capability():
     with pytest.raises(CapabilityError):
         quasi_uniform("sobol", 30000, 1)
+    with pytest.raises(CapabilityError):
+        SamplerSpec(base="sobol", dimension=21202)
+    # The limit is Sobol's alone; only specs are built, since a Halton
+    # stream of this dimension would first find 21202 primes.
+    for base in ("gaussian", "halton"):
+        assert SamplerSpec(base=base, dimension=21202).dimension == 21202
 
 
 def test_gaussian_transform_median_and_one_sigma():
