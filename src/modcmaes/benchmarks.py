@@ -8,7 +8,11 @@ inside the box [-5, 5]^D, whose bounds are the two floats
 ``Problem.lower`` and ``Problem.upper``. Each (function, dimension)
 pair has one instance, seeded by a CRC of its name. Each raw function
 works along the last axis of its input, so :meth:`Problem.error`
-evaluates a block of points (n, D) in one call.
+evaluates a block of points (n, D) in one call; its dot products use
+``np.vecdot``, which gives row i the bits of ``a[i] @ b[i]`` where a
+matrix-vector product does not. :data:`FUNCTIONS` is the one place
+where a function's subgroup is written: :data:`SUBGROUPS`,
+:func:`subgroup_of` and :func:`suite_manifest` read it there.
 """
 
 from __future__ import annotations
@@ -34,14 +38,6 @@ __all__ = [
 
 DIMENSIONS = (2, 3, 5, 10, 20)
 
-SUBGROUPS = (
-    "separable",
-    "low_moderate_conditioning",
-    "high_conditioning_unimodal",
-    "multimodal_adequate",
-    "multimodal_weak",
-)
-
 DEFAULT_TARGET = 1e-8
 LOWER, UPPER = -5.0, 5.0
 
@@ -51,13 +47,8 @@ def default_budget(dimension: int) -> int:
     return 1000 * dimension
 
 
-# Dot products along the last axis: the gufunc gives the bits of
-# a[i] @ b[i] row by row, which a matrix-vector product does not.
-_rowdot = np.vecdot
-
-
 def _sphere(z: np.ndarray, aux: dict) -> np.ndarray:
-    return _rowdot(z, z)
+    return np.vecdot(z, z)
 
 
 @cache
@@ -69,12 +60,12 @@ def _ellipsoid_coeff(d: int) -> np.ndarray:
 
 
 def _ellipsoid(z: np.ndarray, aux: dict) -> np.ndarray:
-    return _rowdot(z * z, _ellipsoid_coeff(z.shape[-1]))
+    return np.vecdot(z * z, _ellipsoid_coeff(z.shape[-1]))
 
 
 def _rastrigin(z: np.ndarray, aux: dict) -> np.ndarray:
     d = z.shape[-1]
-    return 10.0 * (d - np.cos(2.0 * np.pi * z).sum(axis=-1)) + _rowdot(z, z)
+    return 10.0 * (d - np.cos(2.0 * np.pi * z).sum(axis=-1)) + np.vecdot(z, z)
 
 
 def _attractive_sector(z: np.ndarray, aux: dict) -> np.ndarray:
@@ -149,6 +140,10 @@ FUNCTIONS: dict[str, _FunctionDef] = {
 }
 
 
+# Each subgroup once, in the order the table first names it.
+SUBGROUPS = tuple(dict.fromkeys(f.subgroup for f in FUNCTIONS.values()))
+
+
 def subgroup_of(function_id: str) -> str:
     return FUNCTIONS[function_id].subgroup
 
@@ -170,7 +165,6 @@ class Problem:
 
     function_id: str
     dimension: int
-    subgroup: str
     x_opt: np.ndarray
     f_opt: float
     rotation: np.ndarray
@@ -237,7 +231,6 @@ def make_problem(function_id: str, dimension: int) -> Problem:
     return Problem(
         function_id=function_id,
         dimension=dimension,
-        subgroup=fdef.subgroup,
         x_opt=x_opt,
         f_opt=f_opt,
         rotation=rotation,
@@ -255,5 +248,6 @@ def suite_manifest(suite: list[Problem]) -> str:
     """Line-delimited table: function_id, dimension, subgroup, seed."""
     lines = ["function_id\tdimension\tsubgroup\tseed"]
     for p in suite:
-        lines.append(f"{p.function_id}\t{p.dimension}\t{p.subgroup}\t{p.seed}")
+        group = subgroup_of(p.function_id)
+        lines.append(f"{p.function_id}\t{p.dimension}\t{group}\t{p.seed}")
     return "\n".join(lines) + "\n"

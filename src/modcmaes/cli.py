@@ -85,6 +85,7 @@ SUMMARY_HEADER = "config\tfunction_id\tdimension\tn\tert\tfce\tstd_error"
 
 
 def cmd_run(args) -> int:
+    args.jobs = min(args.jobs, args.runs)  # a worker beyond --runs gets no seed
     with _open_evaluator(args) as evaluator:
         summary = evaluator(args.config)
     print(SUMMARY_HEADER)

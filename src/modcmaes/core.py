@@ -45,7 +45,6 @@ __all__ = [
     "ENGINE_VERSION",
     "StrategyParams",
     "RunRecord",
-    "SelectionShortfallError",
     "ZeroMutationError",
     "default_lambda",
     "resolve_interactions",
@@ -74,10 +73,6 @@ C_ALPHA = 0.3
 CONDITION_LIMIT = 1e14
 TOL_SIGMA = 1e-12
 TOL_IMPROVEMENT = 1e-12
-
-
-class SelectionShortfallError(RuntimeError):
-    """Fewer candidates than parents survived the selection rules."""
 
 
 class ZeroMutationError(ValueError):
@@ -124,12 +119,11 @@ def apply_threshold(z: np.ndarray, threshold: float) -> np.ndarray:
     ``z`` is one vector (D,) or a stack of rows (n, D). Vectors at least
     ``threshold`` long pass unchanged; shorter ones are mirrored across
     the threshold to length ``2*threshold - |z|``, keeping the direction
-    and avoiding a point mass at the threshold.
+    and avoiding a point mass at the threshold. Under a threshold of 0 no
+    vector but a NaN one is short, and ``z`` itself is returned.
     """
     if threshold < 0:
         raise ValueError("threshold must be >= 0")
-    if threshold == 0.0:
-        return z
     # np.vecdot gives each row the bits of z @ z, so norm is math.sqrt's
     norm = np.sqrt(np.vecdot(z, z))
     short = ~(norm >= threshold)
@@ -184,10 +178,6 @@ def select(
         f = np.concatenate((f, f_par))
         Y = np.concatenate((Y, y_par))
         X = np.concatenate((X, x_par))
-    if len(f) < mu:
-        raise SelectionShortfallError(
-            f"need {mu} parents but only {len(f)} candidates"
-        )
     best = f.argsort(kind="stable")[:mu]
     return f.take(best), Y.take(best, axis=0), X.take(best, axis=0)
 

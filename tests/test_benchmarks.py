@@ -169,7 +169,7 @@ def test_stable_default_instance():
 def test_suite_size_and_coverage():
     suite = make_suite()
     assert len(suite) == len(FUNCTIONS) * len(DIMENSIONS) == 50
-    seen_groups = {p.subgroup for p in suite}
+    seen_groups = {subgroup_of(p.function_id) for p in suite}
     assert seen_groups == set(SUBGROUPS)
     keys = {(p.function_id, p.dimension) for p in suite}
     assert len(keys) == 50
@@ -192,6 +192,17 @@ def test_suite_manifest_format():
     fields = lines[1].split("\t")
     assert len(fields) == 4
     assert fields[2] in SUBGROUPS
+
+
+def test_subgroups_in_table_order():
+    # Derived from FUNCTIONS, in the order the table first names each.
+    assert SUBGROUPS == (
+        "separable",
+        "low_moderate_conditioning",
+        "high_conditioning_unimodal",
+        "multimodal_adequate",
+        "multimodal_weak",
+    )
 
 
 def test_subgroup_lookup():

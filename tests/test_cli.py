@@ -1,5 +1,6 @@
 import dataclasses
 import errno
+import hashlib
 import os
 from concurrent.futures import ProcessPoolExecutor
 
@@ -1007,6 +1008,12 @@ class TestSuiteCommand:
         lines = out.strip().split("\n")
         assert lines[0] == "function_id\tdimension\tsubgroup\tseed"
         assert len(lines) == 51
+
+    def test_manifest_bytes_pinned(self, capsys):
+        # Every function, dimension, subgroup and instance seed, in order.
+        _, out, _ = _run_cli(["suite"], capsys)
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "e2fadb3b8d2b7e62e5b78b895048f0f897533d870a41db0ba90847c25cfbaf17")
 
 
 class TestCachedEvaluator:

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from modcmaes import evaluation
+from modcmaes import cli, evaluation
 from modcmaes.benchmarks import make_problem
 from modcmaes.configuration import encode, enumerate_all
 from modcmaes.core import ENGINE_VERSION, RunRecord
@@ -363,10 +363,12 @@ class TestRunSeeds:
 
 
 class _StubPool:
-    """A pool stand-in: it runs a chunk when the chunk is submitted and
-    counts the chunks submitted but not yet read back."""
+    """A pool stand-in: it runs a chunk when the chunk is submitted,
+    counts the chunks submitted but not yet read back and keeps the
+    worker count it was opened with."""
 
     def __init__(self, max_workers):
+        self.max_workers = max_workers
         self.in_flight = self.most = 0
         self.chunks: list[int] = []  # the seed count of each chunk
         self.cancelled = None  # cancel_futures, once shut down
@@ -386,6 +388,21 @@ class _StubPool:
             return records
 
         return SimpleNamespace(result=result)
+
+
+@pytest.mark.parametrize("argv, workers", [
+    (["run", "--config", "00000000000"], 2),  # no worker beyond --runs
+    (["bruteforce", "--free", "1"], 6),  # streams several structures
+    (["ga", "--ga-runs", "1", "--ga-budget", "2", "--ga-lambda", "2"], 6),
+], ids=["run", "bruteforce", "ga"])
+def test_command_pool_width(argv, workers, tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(evaluation, "ProcessPoolExecutor", _StubPool)
+    if argv[0] == "ga":
+        argv = [*argv, "--out", str(tmp_path / "traces")]
+    assert cli.main([*argv, "--function", "sphere", "--dim", "2",
+                     "--runs", "2", "--budget", "50", "--jobs", "6",
+                     "--cache", str(tmp_path / "c.tsv")]) == 0
+    assert _StubPool.last.max_workers == workers
 
 
 class TestStream:

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from modcmaes import sampling
-from modcmaes.benchmarks import DIMENSIONS, FUNCTIONS, _rowdot, make_problem
+from modcmaes.benchmarks import DIMENSIONS, FUNCTIONS, make_problem
 from modcmaes.sampling import _orthonormalize
 
 # Small blocks one by one, then large ones: 200, 12 * 2**6 and 12 * 2**7
@@ -36,15 +36,16 @@ def _same_bits(got, want):
 
 @pytest.mark.parametrize("d", DIMENSIONS)
 def test_rowdot_matches_per_row_dot(d):
+    # The raw functions' np.vecdot, row by row a[i] @ b[i].
     rng = np.random.default_rng(d)
     coeff = 10.0 ** (6.0 * np.arange(d) / (d - 1))
     for n in BLOCKS:
         a, b = _rows(rng, n, d), _rows(rng, n, d)
-        assert _same_bits(_rowdot(a, b), [a[i] @ b[i] for i in range(n)])
-        assert _same_bits(_rowdot(a, a), [a[i] @ a[i] for i in range(n)])
+        assert _same_bits(np.vecdot(a, b), [a[i] @ b[i] for i in range(n)])
+        assert _same_bits(np.vecdot(a, a), [a[i] @ a[i] for i in range(n)])
         # the ellipsoid's form: every row against one coefficient vector
         sq = a * a
-        assert _same_bits(_rowdot(sq, coeff), [sq[i] @ coeff for i in range(n)])
+        assert _same_bits(np.vecdot(sq, coeff), [sq[i] @ coeff for i in range(n)])
 
 
 @pytest.mark.parametrize("d", DIMENSIONS)
