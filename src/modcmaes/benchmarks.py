@@ -2,9 +2,9 @@
 
 A representative ten-function suite standing in for the usual noiseless
 benchmark collection: every function is minimized, shifted to a seeded
-optimum ``x_opt`` with value offset ``f_opt``, optionally rotated, and
-reported as error ``f(x) - f_opt`` against a target precision of 1e-8
-inside the box [-5, 5]^D, whose bounds are the two floats
+optimum ``x_opt`` and optionally rotated. An instance's error is the raw
+function of the shifted, rotated point, 0 at ``x_opt``, against a target
+precision of 1e-8 inside the box [-5, 5]^D, whose bounds are the two floats
 ``Problem.lower`` and ``Problem.upper``. Each (function, dimension)
 pair has one instance, seeded by a CRC of its name. Each raw function
 works along the last axis of its input, so :meth:`Problem.error`
@@ -166,7 +166,6 @@ class Problem:
     function_id: str
     dimension: int
     x_opt: np.ndarray
-    f_opt: float
     rotation: np.ndarray
     seed: int
     target_precision: float = DEFAULT_TARGET
@@ -177,7 +176,8 @@ class Problem:
         return bool((self.rotation == np.eye(self.dimension)).all())
 
     def error(self, x: np.ndarray) -> np.ndarray | float:
-        """Nonnegative optimality gap ``f(x) - f_opt`` of a point or a block.
+        """Nonnegative optimality gap of a point or a block: the raw
+        function of the shifted, rotated point, 0 at ``x_opt``.
 
         ``x`` is one point (D,), which gives a ``float``, or a block of
         rows (n, D), evaluated in one call, which gives an (n,) array. A
@@ -223,7 +223,8 @@ def make_problem(function_id: str, dimension: int) -> Problem:
     fdef = FUNCTIONS[function_id]
     rng = np.random.default_rng(seed)
     x_opt = rng.uniform(-4.0, 4.0, size=dimension)
-    f_opt = float(np.round(rng.uniform(-100.0, 100.0), 2))
+    # The draw of a dropped value offset, so later draws keep their bits.
+    rng.uniform()
     rotation = (
         _random_rotation(dimension, rng) if fdef.rotated else np.eye(dimension)
     )
@@ -232,7 +233,6 @@ def make_problem(function_id: str, dimension: int) -> Problem:
         function_id=function_id,
         dimension=dimension,
         x_opt=x_opt,
-        f_opt=f_opt,
         rotation=rotation,
         seed=seed,
         aux=aux,

@@ -37,7 +37,7 @@ from .evaluation import (
     fitness_key,
     format_float,
 )
-from .metaga import GARunTrace, TraceEntry, ga_run
+from .metaga import TRACE_HEADER, GARunTrace, TraceEntry, ga_run
 
 __all__ = [
     "cmd_run",
@@ -82,6 +82,7 @@ def _summary_line(s: FitnessSummary) -> str:
 
 
 SUMMARY_HEADER = "config\tfunction_id\tdimension\tn\tert\tfce\tstd_error"
+GA_HEADER = "run\tga_seed\tfunction_id\tdimension\tbest_config\tert\tfce"
 
 
 def cmd_run(args) -> int:
@@ -109,7 +110,7 @@ def cmd_ga(args) -> int:
     texts = {}  # trace file name -> text, written once the search ends
     with _open_evaluator(args) as evaluator:  # reads and checks the cache
         os.makedirs(args.out, exist_ok=True)  # an unusable --out ends it here
-        print("run\tga_seed\tfunction_id\tdimension\tbest_config\tert\tfce")
+        print(GA_HEADER)
         problem = evaluator.problem
         for i in range(args.ga_runs):
             ga_seed = args.seed + i
@@ -178,7 +179,7 @@ def _aggregate_fitness(
 def _read_trace(path: str) -> GARunTrace:
     trace = GARunTrace()
     with open(path, encoding="utf-8") as fh:
-        if not fh.readline().startswith("generation"):
+        if fh.readline().rstrip("\n") != TRACE_HEADER:
             raise MalformedInputError(f"{path}:1: not a trace file header")
         for lineno, line in enumerate(fh, start=2):
             try:
@@ -247,17 +248,20 @@ def report_rank(args) -> int:
 def report_activation(
     winners: Sequence[tuple[ConfigurationVector, str | int]],
 ) -> tuple[list[str | int], dict[str, list[str]]]:
-    """The sorted group labels, and per module its activation
-    percentages in each group.
+    """The group labels, and per module its activation percentages in
+    each group.
 
     ``winners`` pairs a configuration with its group label, a subgroup
-    name or a dimension, which sorts as a number. Binary modules report
+    name or a dimension. Subgroups come in :data:`benchmarks.SUBGROUPS`
+    order, after them any other label by value. Binary modules report
     the share of non-default activations; the two ternary modules report
     both alternatives as "a/b" percentages.
     """
     if not winners:
         raise ValueError("no winning configurations given")
-    groups = sorted({label for _, label in winners})
+    known = benchmarks.SUBGROUPS
+    groups = sorted({label for _, label in winners}, key=lambda g: (
+        known.index(g) if g in known else len(known), g))
     table: dict[str, list[str]] = {}
     for m, entry in enumerate(CATALOG.entries):
         row = []
@@ -278,32 +282,20 @@ def report_activation(
 def cmd_report_activation(args) -> int:
     winners: list[tuple[ConfigurationVector, str | int]] = []
     with open(args.winners, encoding="utf-8") as fh:
-        header = fh.readline().rstrip("\n").split("\t")
-        try:
-            c_cfg = header.index("best_config")
-            c_fid = header.index("function_id")
-            c_dim = header.index("dimension")
-        except ValueError:
+        if fh.readline().rstrip("\n") != GA_HEADER:
             raise MalformedInputError(
-                f"{args.winners}:1: winners file needs best_config, "
-                "function_id and dimension columns"
-            ) from None
+                f"{args.winners}:1: not a ga output header")
         for lineno, line in enumerate(fh, start=2):
-            parts = line.rstrip("\n").split("\t")
-            if parts == header:
+            if line.rstrip("\n") == GA_HEADER:
                 continue  # the header of a next, concatenated output
-            where = f"{args.winners}:{lineno}"
-            if len(parts) < len(header):
-                raise MalformedInputError(
-                    f"{where}: {len(parts)} of {len(header)} fields")
             try:
-                cfg = decode(parts[c_cfg])
-                label = (int(parts[c_dim]) if args.group_by == "dimension"
-                         else benchmarks.subgroup_of(parts[c_fid]))
+                _, _, fid, dim, cfg, _, _ = line.rstrip("\n").split("\t")
+                label = (int(dim) if args.group_by == "dimension"
+                         else benchmarks.subgroup_of(fid))
+                winners.append((decode(cfg), label))
             except (ValueError, KeyError) as exc:  # ConfigError is a ValueError
                 raise MalformedInputError(
-                    f"{where}: bad config, function or dimension: {exc}") from None
-            winners.append((cfg, label))
+                    f"{args.winners}:{lineno}: bad ga output line: {exc}") from None
     if not winners:
         raise MalformedInputError(f"{args.winners}:2: no winner line")
     groups, table = report_activation(winners)

@@ -493,10 +493,8 @@ class CachedEvaluator:
             raise ValueError("budget must be >= 1")
         self.problem = problem
         self.cache = cache
-        self.n_runs = n_runs
         self.budget = (default_budget(problem.dimension) if budget is None
                        else budget)
-        self.base_seed = base_seed
         self.jobs = jobs
         self.runs_executed = 0
         self.seeds = [base_seed + i for i in range(n_runs)]

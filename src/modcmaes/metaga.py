@@ -38,6 +38,7 @@ GAMMA = 0.22
 P_MIN = 1.0 / 11.0
 P_MAX = 0.5
 P_INIT = 2.0 / 11.0
+TRACE_HEADER = "generation\tbest_config\tert\tfce"  # a trace file's first line
 
 
 @dataclass
@@ -70,7 +71,7 @@ class GARunTrace:
         return self.entries[-1].best_config
 
     def to_lines(self) -> str:
-        lines = ["generation\tbest_config\tert\tfce"]
+        lines = [TRACE_HEADER]
         for e in self.entries:
             lines.append(f"{e.generation}\t{e.best_config}\t"
                          f"{format_float(e.ert)}\t{format_float(e.fce)}")

@@ -806,7 +806,7 @@ class TestActivationReport:
             ["report-activation", "--winners", str(winners)], capsys)
         assert (code, err) == (0, "")
         header = out.split("\n")[0].split("\t")
-        assert header == ["module", "high_conditioning_unimodal", "separable"]
+        assert header == ["module", "separable", "high_conditioning_unimodal"]
 
     def test_fifty_percent_single_module(self):
         winners = [
@@ -846,7 +846,8 @@ class TestActivationReport:
         "0\t0\tsphere\t2\t0000000000X\tNA\t1.0",
         "0\t0\tsphere\t2\t000\tNA\t1.0",
         "0\t0\tsphere",
-    ], ids=["bad-gene", "short-config", "short-row"])
+        "0\t0\tsphere\t2\t10000000000\tNA\t1.0\tx",
+    ], ids=["bad-gene", "short-config", "short-row", "long-row"])
     def test_cli_malformed_row_names_file_and_line(self, tmp_path, capsys, row):
         winners = tmp_path / "winners.tsv"
         winners.write_text(
@@ -859,6 +860,23 @@ class TestActivationReport:
         )
         assert (code, out) == (2, "")
         assert err.startswith(f"{winners}:3: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("text", [
+        "run\tga_seed\tdimension\tfunction_id\tbest_config\tert\tfce\n"
+        "0\t0\t2\tsphere\t10000000000\tNA\t1.0\n",
+        "run\tga_seed\tfunction_id\tdimension\tbest_config\tert\tfce\textra\n"
+        "0\t0\tsphere\t2\t10000000000\tNA\t1.0\tx\n",
+    ], ids=["reordered", "extra-column"])
+    def test_cli_refuses_other_header(self, tmp_path, capsys, text):
+        """Only ``ga`` stdout is read: another layout of the same columns
+        is refused at its header line."""
+        winners = tmp_path / "winners.tsv"
+        winners.write_text(text)
+        code, out, err = _run_cli(
+            ["report-activation", "--winners", str(winners)], capsys
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith(f"{winners}:1: ") and err.count("\n") == 1
 
     def test_cli_header_only_names_file_and_line(self, tmp_path, capsys):
         winners = tmp_path / "winners.tsv"
@@ -980,8 +998,9 @@ class TestConvergenceReport:
         ("generation\tbest_config\tert\tfce\n1\t00000000000\tNA\t1.0\n"
          "two\t00000000000\tNA\t1.0\n", 3),
         ("generation\tbest_config\tert\tfce\n", 2),
+        ("generation\tbest_config\tert\n1\t00000000000\tNA\t1.0\n", 1),
     ], ids=["header", "three-fields", "non-numeric-fce", "non-numeric-generation",
-            "no-generation"])
+            "no-generation", "short-header"])
     def test_malformed_trace_names_file_and_line(
         self, tmp_path, capsys, text, line
     ):
